@@ -1,59 +1,61 @@
-"""Word-packed eight-plane *set* propagation on the compiled netlist.
+"""Byte-per-candidate *set* words on the compiled netlist.
 
 :mod:`repro.algebra.packed` evaluates one concrete eight-valued *value* per
 pattern slot; the search side of the flow (TDgen's forward implication,
 TDsim's reference fallbacks) instead propagates *sets of still-possible
-values* per signal.  This module extends the one-hot multi-plane encoding to
-sets: every signal carries eight bit planes and bit ``j`` of plane ``v`` is
-set when value index ``v`` is a member of pattern slot ``j``'s possibility
-set.  A slot with no plane bit set carries the empty set (a conflict).
+values* per signal.  A :class:`~repro.algebra.sets.ValueSet` is an eight-bit
+mask, so a batch of candidates packs into one Python int per signal: byte
+``k`` of the signal's *word* is candidate ``k``'s possibility set.  An empty
+byte is a conflict.
 
-The crucial observation is that :func:`repro.algebra.packed.packed_pair`
-already implements exact set propagation under this reading::
+In that encoding a gate fold is one lookup per byte in a lazily filled
+*pair-image memo*: the key ``a_set << 8 | b_set`` maps to the image of the
+two-input core gate over every member pair of the two sets, i.e.
+:func:`repro.algebra.sets.evaluate_gate_sets`'s pairwise image.  Each opcode
+has a *base* memo (inner fold steps) and a *final* memo with the inverter
+permutation pre-composed (NAND/NOR/XNOR), and both are bounded by 256 x 256
+entries; a whole robust campaign fills a few thousand.  An empty input byte
+maps to an empty image, matching the reference's empty-set short-circuit.
 
-    out[table[a][b]] |= a_planes[a] & b_planes[b]
+The other per-sweep operations are word arithmetic:
 
-unions the gate image over every *member pair* of the two input sets, which
-is precisely :func:`repro.algebra.sets.evaluate_gate_sets`'s pairwise image —
-for all word slots at once.  Emptiness propagates for free: a slot empty in
-either input is empty in the output, matching the reference's empty-set
-short-circuit.
+* a parent column broadcast across ``width`` candidates is
+  ``set * lane_ones(width)`` (``0x0101...01``);
+* "changed from the parent" is one ``!=`` against that broadcast;
+* a column read is ``(word >> 8 * k) & 0xFF``;
+* an injection :data:`Move` (stem or branch) converts the activating
+  transition into its fault-carrying variant on every selected byte at once.
+
+At decision-batch widths (four PI values or two PPI bits) this beats an
+eight-plane bit-slice encoding: a plane fold pays for every occupied pair of
+planes and for rebuilding those plane lists per gate, while a byte fold pays
+one dictionary lookup per candidate.
 
 :class:`PackedSetSimulator` runs this set evaluation over the flat gate
-program of :mod:`repro.fausim.compile`, with fault-injection *moves* (convert
-the activating transition into its fault-carrying variant on selected slots)
-applied at stem outputs and at single fanout-branch pins, mirroring the
-reference injection of :mod:`repro.tdgen.simulation`.  Each of the word's
-slots therefore carries one independent candidate assignment — a decision
-alternative, a candidate frame, or a fault-free/faulty pair — and one pass
-over the gate program implies all of them.
+program of :mod:`repro.fausim.compile`, with injection moves applied at stem
+outputs and at single fanout-branch pins, mirroring the reference injection
+of :mod:`repro.tdgen.simulation`.  Each byte carries one independent
+candidate assignment — a decision alternative, a candidate frame, or a
+fault-free/faulty pair — and one pass over the gate program implies all of
+them.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.algebra.packed import (
-    NOT_PERMUTATION,
-    NUM_PLANES,
-    core_of,
-    packed_not,
-    packed_table,
-)
+from repro.algebra.packed import NOT_PERMUTATION, NUM_PLANES, core_of, packed_table
 from repro.algebra.sets import ValueSet
 from repro.circuit.gates import GateType
-from repro.fausim.compile import _OPCODES, OP_BUF, OP_NOT, CompiledCircuit
+from repro.fausim.compile import _OPCODES, OP_NOT, CompiledCircuit
 from repro.obs.metrics import NULL_REGISTRY
 
-#: Plane list of one signal: ``planes[v]`` holds the slots whose possibility
-#: set contains the value with index ``v`` (multiple planes may carry the
-#: same slot bit — that is what makes it a *set* encoding).
-SetPlanes = List[int]
-
 #: An injection move: convert value index ``source`` into value index
-#: ``target`` on the slots selected by ``mask`` (the reference ``_inject``
-#: with the activation/fault-value pair flattened to indices).
+#: ``target`` on the bytes selected by ``lanes`` (bit 0 of every selected
+#: byte set, as in :func:`lane_ones`) — the reference ``_inject`` with the
+#: activation/fault-value pair flattened to indices.
 Move = Tuple[int, int, int]
 
 #: Opcode -> (two-input core gate type, apply inverter permutation after the
@@ -66,54 +68,79 @@ OP_CORE: Dict[int, Tuple[GateType, bool]] = {
 }
 
 
-def pack_value_sets(sets: Sequence[ValueSet]) -> SetPlanes:
-    """Pack one signal's possibility set across slots into eight planes."""
-    planes = [0] * NUM_PLANES
-    for slot_index, value_set in enumerate(sets):
-        bit = 1 << slot_index
-        remaining = value_set
-        while remaining:
-            low = remaining & -remaining
-            planes[low.bit_length() - 1] |= bit
-            remaining ^= low
-    return planes
-
-
-def unpack_value_sets(planes: Sequence[int], width: int) -> List[ValueSet]:
-    """Expand packed set planes back into one :class:`ValueSet` per slot."""
-    sets = [0] * width
-    for index, plane in enumerate(planes):
-        plane &= (1 << width) - 1
-        mask = 1 << index
-        while plane:
-            low = plane & -plane
-            sets[low.bit_length() - 1] |= mask
-            plane ^= low
-    return sets
-
-
-def slot_set(planes: Sequence[int], pattern: int) -> ValueSet:
-    """The possibility set carried by one slot (column read of the planes)."""
-    mask = 0
+def _permute(value_set: int, permutation: Sequence[int]) -> int:
+    """Image of a value set under a value-index permutation."""
+    image = 0
     for index in range(NUM_PLANES):
-        if (planes[index] >> pattern) & 1:
-            mask |= 1 << index
-    return mask
+        if (value_set >> index) & 1:
+            image |= 1 << permutation[index]
+    return image
 
 
-def apply_move(planes: SetPlanes, move: Move) -> None:
-    """Apply one injection move in place.
+#: Inverter image of every possible set, as a ``bytes.translate`` table.
+_NOT_IMAGE = bytes(_permute(value_set, NOT_PERMUTATION) for value_set in range(256))
 
-    On every slot selected by the move's mask that contains the source value,
-    the source value is removed and the target value added — exactly the
-    reference ``_inject`` (slots without the source value are untouched, and
-    other members of the set survive).
+
+def lane_ones(width: int) -> int:
+    """The word with bit 0 of each of ``width`` bytes set (``0x0101...01``)."""
+    return ((1 << (8 * width)) - 1) // 255
+
+
+def pack_value_sets(sets: Sequence[ValueSet]) -> int:
+    """Pack one signal's possibility set per candidate into a byte word."""
+    return int.from_bytes(bytes(sets), "little")
+
+
+def unpack_value_sets(word: int, width: int) -> List[ValueSet]:
+    """Expand a byte word back into one :class:`ValueSet` per candidate."""
+    return list(word.to_bytes(width, "little"))
+
+
+def apply_move(word: int, move: Move) -> int:
+    """Apply one injection move to a word and return the result.
+
+    On every selected byte that contains the source value, the source value
+    is removed and the target value added — exactly the reference
+    ``_inject`` (bytes without the source value are untouched, and other
+    members of the set survive).
     """
-    source, target, mask = move
-    moved = planes[source] & mask
+    source, target, lanes = move
+    moved = word & (lanes << source)
     if moved:
-        planes[source] &= ~moved
-        planes[target] |= moved
+        word = (word ^ moved) | ((moved >> source) << target)
+    return word
+
+
+class _PairImages(dict):
+    """Lazily filled image memo of one fold step, keyed ``a_set << 8 | b_set``."""
+
+    def __init__(self, table: Sequence[Sequence[int]]) -> None:
+        super().__init__()
+        self._table = table
+
+    def __missing__(self, key: int) -> int:
+        left, right = key >> 8, key & 0xFF
+        image = 0
+        for a_index in range(NUM_PLANES):
+            if (left >> a_index) & 1:
+                row = self._table[a_index]
+                for b_index in range(NUM_PLANES):
+                    if (right >> b_index) & 1:
+                        image |= 1 << row[b_index]
+        self[key] = image
+        return image
+
+
+@functools.lru_cache(maxsize=None)
+def _fold_images(opcode: int, robust: bool) -> Tuple[_PairImages, _PairImages]:
+    """The (base, final) pair-image memos of one opcode, shared process-wide."""
+    core, invert = OP_CORE[opcode]
+    base = packed_table(core, robust)
+    if not invert:
+        memo = _PairImages(base)
+        return memo, memo
+    last = tuple(tuple(NOT_PERMUTATION[value] for value in row) for row in base)
+    return _PairImages(base), _PairImages(last)
 
 
 @dataclasses.dataclass
@@ -121,26 +148,18 @@ class PackedSetResult:
     """Outcome of one packed set-propagation pass.
 
     Attributes:
-        planes: per signal slot, the eight set planes after propagation.
-        width: number of valid pattern slots.
-        conflict_mask: slots in which some signal's set became empty, as a
-            bit mask.
+        words: per signal slot, the byte word after propagation (``None``
+            for slots an event-driven sweep left at the parent's value).
         conflict_signals: first signal (in evaluation order) whose set became
-            empty, per conflicted slot index.
+            empty, per conflicted candidate index.
     """
 
-    planes: List[SetPlanes]
-    width: int
-    conflict_mask: int
+    words: List[Optional[int]]
     conflict_signals: Dict[int, str]
-
-    def slot_sets(self, slot: int, pattern: int) -> ValueSet:
-        """Possibility set of one signal slot in one pattern slot."""
-        return slot_set(self.planes[slot], pattern)
 
 
 class PackedSetSimulator:
-    """Set propagation over one compiled circuit, one candidate per word slot.
+    """Set propagation over one compiled circuit, one candidate per byte.
 
     Args:
         compiled: the compiled gate program to run (see
@@ -155,24 +174,15 @@ class PackedSetSimulator:
     def __init__(self, compiled: CompiledCircuit, robust: bool = True) -> None:
         self.compiled = compiled
         self.robust = robust
-        # Per opcode: the core fold table and the table of the *final* fold
-        # step.  For inverting gates (NAND/NOR/XNOR) the inverter permutation
-        # is pre-composed into the final table, so the hot loop never runs a
-        # separate NOT pass over the folded planes.
-        self._tables: Dict[int, Tuple[Tuple[Tuple[int, ...], ...], Tuple[Tuple[int, ...], ...]]] = {}
-        for opcode, (core, invert) in OP_CORE.items():
-            base = packed_table(core, robust)
-            if invert:
-                last = tuple(
-                    tuple(NOT_PERMUTATION[value] for value in row) for row in base
-                )
-            else:
-                last = base
-            self._tables[opcode] = (base, last)
+        self._images = {opcode: _fold_images(opcode, robust) for opcode in OP_CORE}
+        #: Opcodes whose single-input form is the inverter image.
+        self._inverting = frozenset(
+            [OP_NOT] + [opcode for opcode, (_, invert) in OP_CORE.items() if invert]
+        )
 
     def propagate(
         self,
-        source_planes: List[SetPlanes],
+        words: List[Optional[int]],
         width: int,
         stem_moves: Optional[Mapping[int, Sequence[Move]]] = None,
         branch_moves: Optional[Mapping[int, Sequence[Move]]] = None,
@@ -180,103 +190,64 @@ class PackedSetSimulator:
         base_sets: Optional[Sequence[ValueSet]] = None,
         changed_slots: Optional[Sequence[int]] = None,
     ) -> PackedSetResult:
-        """Run the gate program over pre-loaded source set planes.
+        """Run the gate program over pre-loaded source words.
 
         Args:
-            source_planes: one plane list per signal slot; the PI/PPI slots
-                must be loaded (including any source-stem injection), gate
-                slots are overwritten.
-            width: number of valid pattern slots.
+            words: one byte word per signal slot; the PI/PPI slots must be
+                loaded (including any source-stem injection), gate slots are
+                overwritten.  Updated in place.
+            width: number of candidates (bytes per word).
             stem_moves: injection moves keyed by *gate output* slot, applied
                 right after the gate is evaluated (a stem fault on a gate
                 output — every sink sees the injected set).
             branch_moves: injection moves keyed by flat fanin position,
-                applied to the set *read* at that one (gate, pin) only (a
+                applied to the word *read* at that one (gate, pin) only (a
                 fanout-branch fault — the stem keeps its fault-free set).
             gate_indices: restrict the pass to these gate-program indices, in
                 ascending order (incremental cone evaluation); ``None`` runs
-                the full program.  Every fanin read outside the subset must
-                already hold valid planes.
+                the full program.
             base_sets: per-slot sets of the conflict-free *parent* state an
                 incremental sweep starts from.  Enables event-driven change
                 tracking: a gate none of whose inputs changed relative to
-                the parent is skipped outright (its planes entry stays
-                ``None`` and readers fall back to the parent column), and a
-                gate whose result equals the parent's broadcast does not
-                wake its fanout.  Requires ``changed_slots``.
-            changed_slots: the source slots whose loaded planes may differ
+                the parent is skipped outright (its word stays ``None``), a
+                ``None`` word reads as the parent's broadcast, and a gate
+                whose result equals that broadcast does not wake its fanout.
+                Requires ``changed_slots``.
+            changed_slots: the source slots whose loaded words may differ
                 from the parent column (the decision variable, re-coupled
                 state registers); the transitive wavefront is derived from
                 them.
 
         Returns:
-            The evaluated planes plus the per-slot conflict bookkeeping (the
-            packed counterpart of recording the first empty set during the
-            reference propagation pass).
+            The evaluated words plus the first conflicted signal per
+            candidate (the packed counterpart of recording the first empty
+            set during the reference propagation pass).
         """
-        stem_moves = stem_moves or {}
         branch_moves = branch_moves or {}
+        stem_moves = stem_moves or {}
         compiled = self.compiled
-        planes = source_planes
-        tables = self._tables
+        images = self._images
+        inverting = self._inverting
         fanin_flat = compiled.fanin_flat
         offsets = compiled.fanin_offsets
         outputs = compiled.outputs
         signal_names = compiled.signal_names
-        full = (1 << width) - 1
-        conflict_mask = 0
-        conflict_signals: Dict[int, str] = {}
-
-        has_branch_moves = bool(branch_moves)
-        has_stem_moves = bool(stem_moves)
         ops = compiled.ops
         indices = range(len(ops)) if gate_indices is None else gate_indices
-
-        # Per-slot cache of the nonzero (plane index, plane) entries.  Most
-        # possibility sets hold one to four values, so iterating only the
-        # occupied planes beats scanning all 8x8 plane pairs per gate; the
-        # scan that builds an entry list is paid once per slot per sweep and
-        # reused by every fanout read.  The cache lookups are inlined in the
-        # loop below — a helper call per fanin read costs more than the scan
-        # it saves.
-        nonzero: List[Optional[List[Tuple[int, int]]]] = [None] * len(planes)
-        branch_positions = frozenset(branch_moves) if has_branch_moves else frozenset()
+        ones = lane_ones(width)
+        narrow = width == 1
+        shifts = range(8, 8 * width, 8)
+        conflicted = 0
+        conflict_signals: Dict[int, str] = {}
 
         # Event-driven mode: gates are evaluated only when an input sits on
         # the change wavefront seeded by ``changed_slots``; everything else
-        # keeps its ``None`` planes entry (the parent column answers reads).
+        # keeps its ``None`` word (the parent column answers reads).
         tracking = base_sets is not None
-        changed: Optional[bytearray] = None
+        changed = bytearray(len(words))
         if tracking:
-            changed = bytearray(len(planes))
             for slot in changed_slots or ():
                 changed[slot] = 1
-
-        def base_entries(slot: int) -> List[Tuple[int, int]]:
-            """Broadcast entries of an unchanged slot (the parent's value)."""
-            entries = []
-            remaining = base_sets[slot]
-            while remaining:
-                low = remaining & -remaining
-                entries.append((low.bit_length() - 1, full))
-                remaining ^= low
-            return entries
-
-        def source_of(slot: int) -> SetPlanes:
-            """Plane list of a fanin slot, materialising the parent broadcast."""
-            source = planes[slot]
-            if source is None:
-                source = [0] * NUM_PLANES
-                for i, p in base_entries(slot):
-                    source[i] = p
-            return source
-
-        def injected_entries(position: int) -> List[Tuple[int, int]]:
-            """Nonzero planes of one branch-injected (gate, pin) read."""
-            source = list(source_of(fanin_flat[position]))
-            for move in branch_moves[position]:
-                apply_move(source, move)
-            return [(i, p) for i, p in enumerate(source) if p]
 
         evaluated = 0
         for index in indices:
@@ -284,153 +255,77 @@ class PackedSetSimulator:
             end = offsets[index + 1]
 
             if tracking:
-                touched = False
                 for position in range(start, end):
                     if changed[fanin_flat[position]]:
-                        touched = True
                         break
-                if not touched:
+                else:
                     # No input on the wavefront: the parent's value stands.
                     continue
                 evaluated += 1
 
-            op = ops[index]
-            arity = end - start
+            slot = fanin_flat[start]
+            acc = words[slot]
+            if acc is None:
+                acc = base_sets[slot] * ones
+            if start in branch_moves:
+                for move in branch_moves[start]:
+                    acc = apply_move(acc, move)
 
-            if arity == 1:
-                if start in branch_positions:
-                    source = [0] * NUM_PLANES
-                    for i, p in injected_entries(start):
-                        source[i] = p
-                elif tracking:
-                    source = source_of(fanin_flat[start])
-                else:
-                    source = planes[fanin_flat[start]]
-                if op == OP_NOT:
-                    acc = packed_not(source)
-                elif op == OP_BUF:
-                    acc = list(source)
-                else:
-                    base_table, last_table = tables[op]
+            op = ops[index]
+            if end - start == 1:
+                if op in inverting:
                     acc = (
-                        list(source) if base_table is last_table else packed_not(source)
+                        _NOT_IMAGE[acc]
+                        if narrow
+                        else int.from_bytes(
+                            acc.to_bytes(width, "little").translate(_NOT_IMAGE),
+                            "little",
+                        )
                     )
-            elif arity == 2:
-                # Two-input gates dominate; fuse over the occupied planes
-                # only.  The fold is inlined (rather than calling
-                # :func:`repro.algebra.packed.packed_pair` per step) to keep
-                # the hot loop free of per-gate function-call overhead; the
-                # final step's table carries any inverter permutation.
-                last_table = tables[op][1]
-                position_b = start + 1
-                if start in branch_positions:
-                    a_entries = injected_entries(start)
-                else:
-                    slot = fanin_flat[start]
-                    a_entries = nonzero[slot]
-                    if a_entries is None:
-                        source = planes[slot]
-                        a_entries = (
-                            base_entries(slot)
-                            if source is None
-                            else [(i, p) for i, p in enumerate(source) if p]
-                        )
-                        nonzero[slot] = a_entries
-                if position_b in branch_positions:
-                    b_entries = injected_entries(position_b)
-                else:
-                    slot = fanin_flat[position_b]
-                    b_entries = nonzero[slot]
-                    if b_entries is None:
-                        source = planes[slot]
-                        b_entries = (
-                            base_entries(slot)
-                            if source is None
-                            else [(i, p) for i, p in enumerate(source) if p]
-                        )
-                        nonzero[slot] = b_entries
-                acc = [0] * NUM_PLANES
-                if b_entries:
-                    for a_index, plane_a in a_entries:
-                        row = last_table[a_index]
-                        for b_index, plane_b in b_entries:
-                            both = plane_a & plane_b
-                            if both:
-                                acc[row[b_index]] |= both
             else:
-                base_table, last_table = tables[op]
-                if start in branch_positions:
-                    acc_entries = injected_entries(start)
-                else:
-                    slot = fanin_flat[start]
-                    acc_entries = nonzero[slot]
-                    if acc_entries is None:
-                        source = planes[slot]
-                        acc_entries = (
-                            base_entries(slot)
-                            if source is None
-                            else [(i, p) for i, p in enumerate(source) if p]
-                        )
-                        nonzero[slot] = acc_entries
-                final_step = arity - 1
-                for step in range(1, arity):
-                    table = last_table if step == final_step else base_table
-                    position = start + step
-                    if position in branch_positions:
-                        nxt_entries = injected_entries(position)
+                base_images, last_images = images[op]
+                position = start + 1
+                while position < end:
+                    slot = fanin_flat[position]
+                    word = words[slot]
+                    if word is None:
+                        word = base_sets[slot] * ones
+                    if position in branch_moves:
+                        for move in branch_moves[position]:
+                            word = apply_move(word, move)
+                    position += 1
+                    memo = last_images if position == end else base_images
+                    if narrow:
+                        acc = memo[acc << 8 | word]
                     else:
-                        slot = fanin_flat[position]
-                        nxt_entries = nonzero[slot]
-                        if nxt_entries is None:
-                            source = planes[slot]
-                            nxt_entries = (
-                                base_entries(slot)
-                                if source is None
-                                else [(i, p) for i, p in enumerate(source) if p]
-                            )
-                            nonzero[slot] = nxt_entries
-                    folded = [0] * NUM_PLANES
-                    if nxt_entries:
-                        for a_index, plane_a in acc_entries:
-                            row = table[a_index]
-                            for b_index, plane_b in nxt_entries:
-                                both = plane_a & plane_b
-                                if both:
-                                    folded[row[b_index]] |= both
-                    if step == final_step:
+                        folded = memo[(acc & 0xFF) << 8 | (word & 0xFF)]
+                        for shift in shifts:
+                            folded |= memo[
+                                (acc >> shift & 0xFF) << 8 | (word >> shift & 0xFF)
+                            ] << shift
                         acc = folded
-                    else:
-                        acc_entries = [(i, p) for i, p in enumerate(folded) if p]
 
             out = outputs[index]
-            if has_stem_moves:
-                moves = stem_moves.get(out)
-                if moves:
-                    for move in moves:
-                        apply_move(acc, move)
-            planes[out] = acc
-            nonzero[out] = None
-            if tracking:
+            if out in stem_moves:
+                for move in stem_moves[out]:
+                    acc = apply_move(acc, move)
+            words[out] = acc
+            if tracking and acc != base_sets[out] * ones:
                 # Wake the fanout only when the result actually left the
                 # parent's value (the wavefront dies where sets converge).
-                base_value = base_sets[out]
-                for value_index in range(NUM_PLANES):
-                    expected = full if (base_value >> value_index) & 1 else 0
-                    if acc[value_index] != expected:
-                        changed[out] = 1
-                        break
+                changed[out] = 1
 
-            live = (
-                acc[0] | acc[1] | acc[2] | acc[3]
-                | acc[4] | acc[5] | acc[6] | acc[7]
-            )
-            empty = full & ~live & ~conflict_mask
+            # Bit 0 of every nonempty byte, folded down from the whole byte.
+            live = acc | acc >> 4
+            live |= live >> 2
+            live |= live >> 1
+            empty = ones & ~(live | conflicted)
             if empty:
-                conflict_mask |= empty
+                conflicted |= empty
                 name = signal_names[out]
                 while empty:
                     low = empty & -empty
-                    conflict_signals[low.bit_length() - 1] = name
+                    conflict_signals[low.bit_length() >> 3] = name
                     empty ^= low
 
         metrics = self.metrics
@@ -445,9 +340,4 @@ class PackedSetSimulator:
             else:
                 metrics.inc("repro_wavefront_gates_evaluated_total", total)
 
-        return PackedSetResult(
-            planes=planes,
-            width=width,
-            conflict_mask=conflict_mask,
-            conflict_signals=conflict_signals,
-        )
+        return PackedSetResult(words=words, conflict_signals=conflict_signals)

@@ -6,7 +6,7 @@ a thousand faulty machines that is sixteen interpreter sweeps whose per-gate
 Python overhead (loop iteration, list indexing, dict lookups) dominates the
 actual bitwise work.  Python integers, however, are arbitrary-precision: the
 very same plane identities (`one = AND(one_i)`, the one-hot eight-plane table
-walk, the set-plane pair image) run unchanged on integers of *any* width.
+walk) run unchanged on integers of *any* width.
 
 This module therefore does not reimplement anything.  It re-registers the
 packed evaluators with an effectively unbounded word width, so one gate

@@ -151,8 +151,15 @@ class PropagationEngine:
         self._deadline = deadline
         budget = {"backtracks": 0}
         assignable = set(assignable_ppis or [])
+        # (PPI, PPO) per flip-flop, resolved once: every frame classification
+        # of this call observes the PPOs of the unblocked state bits.
+        ppo_pairs = [
+            (ppi, self.circuit.ppo_of_ppi(ppi))
+            for ppi in self.circuit.pseudo_primary_inputs
+        ]
         frames = self._search(
-            good_state, faulty_state, depth=0, budget=budget, assignable=assignable
+            good_state, faulty_state, depth=0, budget=budget,
+            assignable=assignable, ppo_pairs=ppo_pairs,
         )
         if frames is None:
             return PropagationResult(
@@ -181,6 +188,7 @@ class PropagationEngine:
         depth: int,
         budget: Dict[str, int],
         assignable: Set[str],
+        ppo_pairs: Sequence[Tuple[str, str]],
     ) -> Optional[List[FrameSolution]]:
         if (
             depth >= self.max_frames
@@ -193,7 +201,8 @@ class PropagationEngine:
 
         # Goal 1: observe the difference at a primary output in this frame.
         solution = self._solve_frame(
-            good_state, faulty_state, goal="po", blocked_targets=set(),
+            good_state, faulty_state, goal="po",
+            observation=self.circuit.primary_outputs,
             assignable=first_frame_assignable,
         )
         if solution is not None:
@@ -203,7 +212,8 @@ class PropagationEngine:
         blocked: Set[str] = set()
         for _ in range(self.frame_alternatives):
             solution = self._solve_frame(
-                good_state, faulty_state, goal="ppo", blocked_targets=blocked,
+                good_state, faulty_state, goal="ppo",
+                observation=[ppo for ppi, ppo in ppo_pairs if ppi not in blocked],
                 assignable=first_frame_assignable,
             )
             if solution is None:
@@ -214,6 +224,7 @@ class PropagationEngine:
                 depth + 1,
                 budget,
                 assignable,
+                ppo_pairs,
             )
             if rest is not None:
                 return [solution] + rest
@@ -236,7 +247,7 @@ class PropagationEngine:
         good_state: SignalValues,
         faulty_state: SignalValues,
         goal: str,
-        blocked_targets: Set[str],
+        observation: Sequence[str],
         assignable: Set[str],
     ) -> Optional[FrameSolution]:
         pi_values: Dict[str, Optional[int]] = {pi: None for pi in self.circuit.primary_inputs}
@@ -260,7 +271,7 @@ class PropagationEngine:
         while True:
             if self._expired():
                 return None
-            status = self._classify_frame(pairs, frames, cursor, goal, blocked_targets)
+            status = self._classify_frame(pairs, frames, cursor, observation)
             if status == "success":
                 next_good = {}
                 next_faulty = {}
@@ -360,28 +371,17 @@ class PropagationEngine:
         pairs: Dict[str, PairValue],
         frames: CandidatePairFrames,
         cursor: int,
-        goal: str,
-        blocked_targets: Set[str],
+        observation: Sequence[str],
     ) -> str:
-        targets = (
-            self.circuit.primary_outputs
-            if goal == "po"
-            else [ppi for ppi in self.circuit.pseudo_primary_inputs if ppi not in blocked_targets]
-        )
-        achieved = False
-        for target in targets:
-            signal = target if goal == "po" else self.circuit.ppo_of_ppi(target)
+        """Classify a frame against its observation signals (POs or PPOs)."""
+        for signal in observation:
             if _differs(*pairs[signal]):
-                achieved = True
-                break
-        if achieved:
-            return "success"
+                return "success"
         # X-path style check: the difference must still be able to reach a
         # target.  The potential-difference scan runs through the search
         # kernels (word-parallel over the whole batch on ``packed``).
         potential = self._kernels.potential_difference(frames, cursor)
-        for target in targets:
-            signal = target if goal == "po" else self.circuit.ppo_of_ppi(target)
+        for signal in observation:
             if potential.get(signal):
                 return "continue"
         return "conflict"

@@ -19,10 +19,11 @@ batch takes the current partial assignment plus one override per candidate
 candidate.  The ``reference`` engine computes batch entries lazily with the
 interpreted oracles, so its cost profile is exactly the historical
 one-call-per-alternative behaviour; the ``packed`` engine evaluates the whole
-batch in one word-parallel pass over the compiled netlist
-(:mod:`repro.algebra.packed_sets` for the eight-valued set planes,
-:mod:`repro.fausim.packed_sim` for the three-valued planes), one candidate
-per word slot, and unpacks only the candidates that are actually consumed.
+batch in one pass over the compiled netlist
+(:mod:`repro.algebra.packed_sets` for the eight-valued sets, one candidate
+per byte of a signal word; :mod:`repro.fausim.packed_sim` for the
+three-valued planes, one candidate per bit) and unpacks only the candidates
+that are actually consumed.
 
 Engines are registered under the same backend names as the simulation
 backends (:mod:`repro.fausim.backends`) and ``backend=None`` resolves to the
@@ -38,10 +39,15 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.algebra.packed import NUM_PLANES
-from repro.algebra.packed_sets import Move, PackedSetSimulator, apply_move
+from repro.algebra.packed_sets import (
+    Move,
+    PackedSetSimulator,
+    apply_move,
+    lane_ones,
+    pack_value_sets,
+)
 from repro.algebra.sets import ValueSet
-from repro.algebra.values import DelayValue, PI_VALUES
+from repro.algebra.values import DelayValue
 from repro.circuit.gates import evaluate_gate
 from repro.circuit.netlist import Circuit, LineKind
 from repro.faults.model import GateDelayFault
@@ -54,6 +60,7 @@ from repro.fausim.packed_sim import PackedLogicSimulator, PackedPlanes, WORD_BIT
 from repro.obs.metrics import NULL_REGISTRY
 from repro.tdgen.context import TDgenContext
 from repro.tdgen.simulation import (
+    PI_SET_MASK,
     TwoFrameState,
     _inject,
     _ppi_pair_set,
@@ -542,17 +549,16 @@ class _LazyColumn(dict):
 class _PackedStates(CandidateStates):
     """Packed candidate states: one set-propagation pass, lazy unpacking.
 
-    A *full* sweep fills every signal's planes.  An *incremental* sweep (one
-    started from a parent state) fills only the decision variable's influence
-    cone and keeps ``None`` plane entries elsewhere; reads outside the cone
-    fall back to the parent's per-slot column (``base_sets`` /
-    ``base_frame1``).
+    A *full* sweep fills every signal's byte word.  An *incremental* sweep
+    (one started from a parent state) fills only the words its event-driven
+    wavefront touched and keeps ``None`` elsewhere; reads of those fall back
+    to the parent's per-slot column (``base_sets`` / ``base_frame1``).
     """
 
     def __init__(
         self,
         owner: "PackedImplicationEngine",
-        set_planes: List[Optional[List[int]]],
+        words: List[Optional[int]],
         frame1_planes: PackedPlanes,
         ppi_pair_sets: List[Dict[str, ValueSet]],
         conflict_signals: Dict[int, str],
@@ -564,7 +570,7 @@ class _PackedStates(CandidateStates):
     ) -> None:
         self._owner = owner
         self._compiled = owner.compiled
-        self._set_planes = set_planes
+        self._words = words
         self._frame1_planes = frame1_planes
         self._ppi_pair_sets = ppi_pair_sets
         self._conflict_signals = conflict_signals
@@ -582,33 +588,21 @@ class _PackedStates(CandidateStates):
 
     # -- per-slot column extraction (base of incremental child sweeps) ---- #
     def column_sets(self, index: int) -> List[ValueSet]:
-        """Per-signal-slot possibility sets of one word slot."""
+        """Per-signal-slot possibility sets of one candidate (byte ``index``)."""
         cached = self._set_columns.get(index)
         if cached is not None:
             return cached
-        bit = 1 << index
-        planes = self._set_planes
+        shift = 8 * index
         base = self._base_sets
-        if base is not None:
-            # Incremental state: only the influence cone carries planes; the
+        if base is None:
+            column = [word >> shift & 0xFF for word in self._words]
+        else:
+            # Incremental state: only the wavefront carries words; the
             # remaining slots are the parent's column, copied wholesale.
             column = list(base)
-            for slot, signal_planes in enumerate(planes):
-                if signal_planes is None:
-                    continue
-                mask = 0
-                for value_index in range(NUM_PLANES):
-                    if signal_planes[value_index] & bit:
-                        mask |= 1 << value_index
-                column[slot] = mask
-        else:
-            column = [0] * len(planes)
-            for slot, signal_planes in enumerate(planes):
-                mask = 0
-                for value_index in range(NUM_PLANES):
-                    if signal_planes[value_index] & bit:
-                        mask |= 1 << value_index
-                column[slot] = mask
+            for slot, word in enumerate(self._words):
+                if word is not None:
+                    column[slot] = word >> shift & 0xFF
         self._set_columns[index] = column
         return column
 
@@ -637,28 +631,25 @@ class _PackedStates(CandidateStates):
         return column
 
     def state(self, index: int) -> TwoFrameState:
-        """View word slot ``index`` as a (lazily unpacked) state."""
+        """View candidate ``index`` as a (lazily unpacked) state."""
         cached = self._cache.get(index)
         if cached is not None:
             return cached
         compiled = self._compiled
-        planes = self._set_planes
+        words = self._words
         zero = self._frame1_planes.zero
         one = self._frame1_planes.one
         base_sets = self._base_sets
         base_frame1 = self._base_frame1
         frame1_slots = self._frame1_slots
         bit = 1 << index
+        shift = 8 * index
 
         def unpack_set(slot: int) -> ValueSet:
-            signal_planes = planes[slot]
-            if signal_planes is None:
+            word = words[slot]
+            if word is None:
                 return base_sets[slot]
-            mask = 0
-            for value_index in range(NUM_PLANES):
-                if signal_planes[value_index] & bit:
-                    mask |= 1 << value_index
-            return mask
+            return word >> shift & 0xFF
 
         def unpack_frame1(slot: int) -> Optional[int]:
             if frame1_slots is not None and slot not in frame1_slots:
@@ -845,9 +836,11 @@ class _InfluenceCone(object):
     only in the variable's combinational fanout (``frame1_gates``); through
     the state-register coupling that can change the pair sets of
     ``affected_dffs``, and the test frame then changes only in the fanout of
-    the variable plus those PPIs (``pass2_gates``).  ``*_frontier`` are the
-    out-of-cone slots a cone gate reads — the only base columns an
-    incremental sweep has to broadcast into planes.
+    the variable plus those PPIs (``pass2_gates``).  ``frame1_frontier``
+    holds the out-of-cone slots an initial-frame cone gate reads — the only
+    base values the three-valued cone pass has to load.  The test-frame
+    sweep needs no frontier: its kernel reads an unloaded word as the
+    parent's broadcast.
     """
 
     frame1_gates: Tuple[int, ...]
@@ -855,26 +848,27 @@ class _InfluenceCone(object):
     frame1_slots: frozenset
     affected_dffs: Tuple[int, ...]
     pass2_gates: Tuple[int, ...]
-    pass2_frontier: Tuple[int, ...]
 
 
 class PackedImplicationEngine(ImplicationEngine):
     """Word-parallel implication on the compiled netlist.
 
-    Each word slot carries one independent candidate assignment; one pass
-    over the compiled gate program implies the whole batch.  The initial
-    (slow clock) frame runs in the two-plane three-valued encoding of
-    :mod:`repro.fausim.packed_sim`; the test frame runs in the eight-plane
-    *set* encoding of :mod:`repro.algebra.packed_sets` with the targeted
-    fault injected per the reference rules (stem output or single branch
-    pin).  Results unpack lazily, so unexplored alternatives only ever cost
-    their share of the shared pass.
+    Each candidate assignment gets its own word slot; one pass over the
+    compiled gate program implies the whole batch.  The initial (slow clock)
+    frame runs in the two-plane three-valued encoding of
+    :mod:`repro.fausim.packed_sim` (one candidate per bit); the test frame
+    runs in the byte-word *set* encoding of :mod:`repro.algebra.packed_sets`
+    (one candidate per byte) with the targeted fault injected per the
+    reference rules (stem output or single branch pin).  Results unpack
+    lazily, so unexplored alternatives only ever cost their share of the
+    shared pass.
 
     When the caller provides the base assignment's own implication (the
     parent decision's state), a candidate sweep over a single decision
     variable runs *incrementally*: only the variable's statically computed
-    influence cone (:class:`_InfluenceCone`) is re-evaluated, and every
-    other signal resolves to the parent's column.
+    influence cone (:class:`_InfluenceCone`) is swept, event-driven — a gate
+    is evaluated only when one of its inputs left the parent's value — and
+    every other signal resolves to the parent's column.
     """
 
     name = "packed"
@@ -1002,7 +996,7 @@ class PackedImplicationEngine(ImplicationEngine):
         )
         pass2_sources = {var_slot}
         pass2_sources.update(self._dff_items[position][0] for position in affected_dffs)
-        pass2_gates, pass2_reached = closure(pass2_sources)
+        pass2_gates, _ = closure(pass2_sources)
 
         cone = _InfluenceCone(
             frame1_gates=tuple(frame1_gates),
@@ -1010,16 +1004,15 @@ class PackedImplicationEngine(ImplicationEngine):
             frame1_slots=frozenset(frame1_reached),
             affected_dffs=affected_dffs,
             pass2_gates=tuple(pass2_gates),
-            pass2_frontier=frontier(pass2_gates, pass2_reached),
         )
         self._cones[name] = cone
         return cone
 
     # ------------------------------------------------------------------ #
     def _fault_moves(
-        self, fault: Optional[GateDelayFault], full: int
+        self, fault: Optional[GateDelayFault], ones: int
     ) -> Tuple[Optional[Tuple[int, Move]], Dict[int, List[Move]], Dict[int, List[Move]]]:
-        """Injection bookkeeping of one sweep.
+        """Injection bookkeeping of one sweep over the candidate bytes ``ones``.
 
         Returns the source-stem injection (slot + move) if the fault stem is
         a PI/PPI, the gate-stem move table and the branch-position move
@@ -1034,7 +1027,7 @@ class PackedImplicationEngine(ImplicationEngine):
         move: Move = (
             fault.fault_type.activation_value.index,
             fault.fault_type.fault_value.index,
-            full,
+            ones,
         )
         slot = compiled.slot_of.get(fault.line.signal)
         if fault.line.kind is LineKind.STEM:
@@ -1084,8 +1077,11 @@ class PackedImplicationEngine(ImplicationEngine):
             elif value == 0:
                 zero[slot] = full
         base_pi_value = pi_values.get(name) if kind == "pi" else ppi_initial.get(name)
-        for slot_index, candidate in enumerate(candidates):
-            value = base_pi_value if candidate is None else candidate[2]
+        values = [
+            base_pi_value if candidate is None else candidate[2]
+            for candidate in candidates
+        ]
+        for slot_index, value in enumerate(values):
             initial = (
                 value.initial if kind == "pi" and value is not None else value
             )
@@ -1097,28 +1093,13 @@ class PackedImplicationEngine(ImplicationEngine):
         self._logic.evaluate_planes(frame1_planes, cone.frame1_gates)
 
         # ---- test frame: cone-only set propagation ---------------------- #
-        source_stem, stem_moves, branch_moves = self._fault_moves(fault, full)
-        planes: List[Optional[List[int]]] = [None] * num_signals
-        for slot in cone.pass2_frontier:
-            broadcast = [0] * NUM_PLANES
-            remaining = base_sets[slot]
-            while remaining:
-                low = remaining & -remaining
-                broadcast[low.bit_length() - 1] = full
-                remaining ^= low
-            planes[slot] = broadcast
-
+        ones = lane_ones(width)
+        source_stem, stem_moves, branch_moves = self._fault_moves(fault, ones)
+        words: List[Optional[int]] = [None] * num_signals
         if kind == "pi":
-            var_planes = [0] * NUM_PLANES
-            for slot_index, candidate in enumerate(candidates):
-                value = base_pi_value if candidate is None else candidate[2]
-                bit = 1 << slot_index
-                if value is not None:
-                    var_planes[value.index] |= bit
-                else:
-                    for pi_value in PI_VALUES:
-                        var_planes[pi_value.index] |= bit
-            planes[var_slot] = var_planes
+            words[var_slot] = pack_value_sets(
+                [PI_SET_MASK if value is None else value.mask for value in values]
+            )
 
         # State-register coupling for the affected flip-flops only; the
         # remaining pair sets are inherited from the parent column.
@@ -1131,14 +1112,13 @@ class PackedImplicationEngine(ImplicationEngine):
         frame1_one = frame1_planes.one
         for position in cone.affected_dffs:
             ppi_slot, data_slot, dff_name = self._dff_items[position]
-            dff_planes = [0] * NUM_PLANES
             in_cone = data_slot in frame1_slots
             base_initial = ppi_initial.get(dff_name)
+            pair_sets = []
             for slot_index in range(width):
                 bit = 1 << slot_index
                 if kind == "ppi" and dff_name == name:
-                    candidate = candidates[slot_index]
-                    initial = base_initial if candidate is None else candidate[2]
+                    initial = values[slot_index]
                 else:
                     initial = base_initial
                 if in_cone:
@@ -1152,36 +1132,32 @@ class PackedImplicationEngine(ImplicationEngine):
                     final = base_frame1[data_slot]
                 pair_set = _PAIR_SET_TABLE[(initial, final)]
                 ppi_pair_sets[slot_index][dff_name] = pair_set
-                remaining = pair_set
-                while remaining:
-                    low = remaining & -remaining
-                    dff_planes[low.bit_length() - 1] |= bit
-                    remaining ^= low
-            planes[ppi_slot] = dff_planes
+                pair_sets.append(pair_set)
+            words[ppi_slot] = pack_value_sets(pair_sets)
 
-        # Source-stem injection: only needed on planes this sweep reloads
+        # Source-stem injection: only needed on words this sweep reloads
         # (the parent's columns already carry the injection elsewhere).
         if source_stem is not None:
             stem_slot, move = source_stem
-            reloaded = planes[stem_slot]
+            reloaded = words[stem_slot]
             if reloaded is not None:
-                apply_move(reloaded, move)
+                words[stem_slot] = apply_move(reloaded, move)
 
         # Event-driven sweep: only the decision variable and the re-coupled
         # state registers can differ from the parent column; gates whose
         # inputs stay off that wavefront are skipped and resolve to the
-        # parent via their ``None`` planes entry.
+        # parent via their ``None`` word.
         changed_slots = [var_slot]
         changed_slots.extend(
             self._dff_items[position][0] for position in cone.affected_dffs
         )
         result = self._sets.propagate(
-            planes, width, stem_moves, branch_moves, cone.pass2_gates,
+            words, width, stem_moves, branch_moves, cone.pass2_gates,
             base_sets=base_sets, changed_slots=changed_slots,
         )
         return _PackedStates(
             owner=self,
-            set_planes=result.planes,
+            words=result.words,
             frame1_planes=frame1_planes,
             ppi_pair_sets=ppi_pair_sets,
             conflict_signals=result.conflict_signals,
@@ -1263,35 +1239,20 @@ class PackedImplicationEngine(ImplicationEngine):
         frame1_planes = PackedPlanes(zero=zero, one=one, width=width)
         self._logic.evaluate_planes(frame1_planes)
 
-        # ---- source set planes ------------------------------------------- #
-        set_planes: List[List[int]] = [[0] * NUM_PLANES for _ in range(compiled.num_signals)]
+        # ---- source set words -------------------------------------------- #
+        ones = lane_ones(width)
+        words: List[Optional[int]] = [0] * compiled.num_signals
         for slot, name in self._pi_items:
             base = pi_values.get(name)
+            base_set = PI_SET_MASK if base is None else base.mask
             overrides = pi_overrides.get(name)
-            planes = set_planes[slot]
             if overrides is None:
-                if base is not None:
-                    planes[base.index] = full
-                else:
-                    for value in PI_VALUES:
-                        planes[value.index] = full
+                words[slot] = base_set * ones
                 continue
-            override_mask = 0
+            sets = [base_set] * width
             for slot_index, value in overrides:
-                bit = 1 << slot_index
-                override_mask |= bit
-                if value is not None:
-                    planes[value.index] |= bit
-                else:
-                    for pi_value in PI_VALUES:
-                        planes[pi_value.index] |= bit
-            rest = full & ~override_mask
-            if rest:
-                if base is not None:
-                    planes[base.index] |= rest
-                else:
-                    for pi_value in PI_VALUES:
-                        planes[pi_value.index] |= rest
+                sets[slot_index] = PI_SET_MASK if value is None else value.mask
+            words[slot] = pack_value_sets(sets)
 
         # State-register coupling: the PPI pair set of every candidate is
         # derived from its own initial value and its own frame-1 PPO value.
@@ -1303,7 +1264,7 @@ class PackedImplicationEngine(ImplicationEngine):
             )
             data_zero = frame1_planes.zero[data_slot]
             data_one = frame1_planes.one[data_slot]
-            planes = set_planes[ppi_slot]
+            pair_sets = []
             for slot_index in range(width):
                 initial = overrides.get(slot_index, base) if overrides else base
                 bit = 1 << slot_index
@@ -1315,23 +1276,20 @@ class PackedImplicationEngine(ImplicationEngine):
                     final = None
                 pair_set = _PAIR_SET_TABLE[(initial, final)]
                 ppi_pair_sets[slot_index][name] = pair_set
-                remaining = pair_set
-                while remaining:
-                    low = remaining & -remaining
-                    planes[low.bit_length() - 1] |= bit
-                    remaining ^= low
+                pair_sets.append(pair_set)
+            words[ppi_slot] = pack_value_sets(pair_sets)
 
         # ---- fault injection moves ---------------------------------------- #
-        source_stem, stem_moves, branch_moves = self._fault_moves(fault, full)
+        source_stem, stem_moves, branch_moves = self._fault_moves(fault, ones)
         if source_stem is not None:
-            # PI / PPI stem: inject right at the loaded planes.
+            # PI / PPI stem: inject right at the loaded word.
             stem_slot, move = source_stem
-            apply_move(set_planes[stem_slot], move)
+            words[stem_slot] = apply_move(words[stem_slot], move)
 
-        result = self._sets.propagate(set_planes, width, stem_moves, branch_moves)
+        result = self._sets.propagate(words, width, stem_moves, branch_moves)
         return _PackedStates(
             owner=self,
-            set_planes=result.planes,
+            words=result.words,
             frame1_planes=frame1_planes,
             ppi_pair_sets=ppi_pair_sets,
             conflict_signals=result.conflict_signals,
@@ -1539,10 +1497,10 @@ class NumpyImplicationEngine(BigintImplicationEngine):
 
     The three-valued passes (frame justification candidates, SEMILET pair
     frames) run on the levelized vectorised simulator when numpy is
-    available; the eight-valued *set*-plane sweeps keep the unbounded-width
-    integer substrate of the bigint tier — their cost is bound by the
-    occupied plane pairs per gate, not by the word count, so there is no
-    per-word loop for vectorisation to remove.  Without numpy the engine is
+    available; the eight-valued *set* sweeps keep the byte-word kernel of
+    the bigint tier — decision batches are a few candidates wide, so the
+    cost is the per-gate interpretation, which vectorisation over candidates
+    would not remove.  Without numpy the engine is
     exactly the bigint engine (graceful degradation).
     """
 

@@ -23,9 +23,10 @@ backend names as the implication engines: ``reference`` keeps the historical
 interpreted walks (moved here verbatim from ``tdgen/engine.py``,
 ``semilet/propagation.py`` and ``semilet/justification.py``) as the
 differential-testing oracle; ``packed`` reruns them as compiled kernels over
-the flat arrays of :mod:`repro.fausim.compile` and the packed planes of
-:mod:`repro.algebra.packed_sets` / :mod:`repro.fausim.packed_sim` — the
-objective scan works on a state's extracted slot column, the backtraces are
+the flat arrays of :mod:`repro.fausim.compile`, the byte-word sets of
+:mod:`repro.algebra.packed_sets` and the planes of
+:mod:`repro.fausim.packed_sim` — the objective scan works on a state's
+extracted per-candidate column (a byte read per signal), the backtraces are
 iterative worklists over the flat fanin arrays with memoised
 observability-distance weights (frontier ranking) and the memoised backward
 implication of :mod:`repro.algebra.sets` as the controllability store, and
