@@ -2,7 +2,7 @@
 
 The hybrid flow (``--rpg-prefix``, :mod:`repro.core.prefilter`) fronts the
 deterministic TDgen/SEMILET campaign with a seeded random-pattern prefix:
-sequences are graded word-parallel against the whole remaining fault
+sequences are graded bit-parallel against the whole remaining fault
 universe, credited under the exact eight-valued TDsim rule, and every
 credited fault is stripped before the residue is targeted.
 
@@ -23,8 +23,8 @@ settings under which the prefix honestly pays end-to-end:
   confirmation rejects most gross-delay candidates, so under the robust
   model the prefix buys mostly *coverage* (it detects faults the
   deterministic search aborts on) rather than wall clock;
-* the ``bigint`` kernel tier, whose whole-universe grading keeps the
-  prefix's own cost small (see ``BENCH_kernels.json``).
+* the default ``packed`` backend, whose single-pass whole-universe
+  grading keeps the prefix's own cost small.
 
 The hybrid leg runs *first*, so the global search/implication memo caches
 are cold for it and warm for the deterministic leg — the bias runs against
@@ -39,12 +39,12 @@ from benchconfig import write_bench_results
 from repro.core.flow import SequentialDelayATPG
 from repro.core.prefilter import PrefixConfig
 from repro.data import load_circuit
+from repro.fausim import default_backend
 from repro.faults.model import enumerate_delay_faults
 
 #: Benchmark workload: the complete fault universe of a random-testable
 #: s838 surrogate at half scale, under the non-robust model.
 CIRCUIT, SCALE, SURROGATE_SEED = "s838", 0.5, 53
-BACKEND = "bigint"
 ROBUST = False
 #: Prefix settings of the hybrid leg (campaign seed doubles as prefix seed).
 BUDGET, WINDOW, LENGTH = 512, 64, 8
@@ -58,7 +58,7 @@ def _fresh_workload():
 
 def _run(prefix):
     circuit, faults = _fresh_workload()
-    atpg = SequentialDelayATPG(circuit, robust=ROBUST, backend=BACKEND)
+    atpg = SequentialDelayATPG(circuit, robust=ROBUST)
     start = time.perf_counter()
     campaign = atpg.run(faults=faults, prefix=prefix)
     return campaign, time.perf_counter() - start
@@ -79,7 +79,7 @@ def test_bench_hybrid_speedup():
     speedup = det_seconds / hybrid_seconds
     print(
         f"\nhybrid campaign ({CIRCUIT}@{SCALE} seed {SURROGATE_SEED}, "
-        f"{hybrid.total_faults} faults, non-robust, {BACKEND}): "
+        f"{hybrid.total_faults} faults, non-robust, {default_backend()}): "
         f"deterministic {det_seconds:.1f}s -> hybrid {hybrid_seconds:.1f}s "
         f"({speedup:.2f}x); coverage {deterministic.tested} -> {hybrid.tested} "
         f"(prefix: {hybrid.prefix_applied} sequences applied, "
@@ -94,7 +94,7 @@ def test_bench_hybrid_speedup():
                 "surrogate_seed": SURROGATE_SEED,
                 "n_faults": hybrid.total_faults,
                 "robust": ROBUST,
-                "backend": BACKEND,
+                "backend": default_backend(),
                 "prefix": {"budget": BUDGET, "window": WINDOW, "length": LENGTH},
                 "description": "full-universe campaign, hybrid vs deterministic-only",
             },

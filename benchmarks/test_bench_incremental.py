@@ -12,7 +12,7 @@ of two primary inputs, observed at a new primary output) the incremental
 re-run must finish at least **3x** faster than the from-scratch run with
 the same settings, while producing the bit-identical campaign.  The
 workload reuses the hybrid benchmark's pinned settings (surrogate
-``seed=53``, non-robust, the ``bigint`` backend, backtrack limits 20/20 —
+``seed=53``, non-robust, the default backend, backtrack limits 20/20 —
 see ``test_bench_hybrid.py`` for why this instance) because the gate
 measures *reuse*, not search strength: the ECO's influence cone is the new
 gate plus its two PI fanin cones, a few signals out of ~450, so nearly
@@ -33,13 +33,13 @@ from benchconfig import write_bench_results
 from repro.circuit.gates import GateType
 from repro.core.flow import SequentialDelayATPG
 from repro.data import load_circuit
+from repro.fausim import default_backend
 from repro.orchestrate import OrchestratorConfig
 from repro.store import CampaignStore, run_incremental
 
 #: Benchmark workload: a random-testable s838 surrogate at half scale under
 #: the non-robust model (same instance the hybrid benchmark pins).
 CIRCUIT, SCALE, SURROGATE_SEED = "s838", 0.5, 53
-BACKEND = "bigint"
 ROBUST = False
 BACKTRACK_LIMIT = 20
 GATE = 3.0
@@ -49,7 +49,6 @@ def _config() -> OrchestratorConfig:
     return OrchestratorConfig(
         jobs=1,
         robust=ROBUST,
-        backend=BACKEND,
         local_backtrack_limit=BACKTRACK_LIMIT,
         sequential_backtrack_limit=BACKTRACK_LIMIT,
     )
@@ -95,7 +94,7 @@ def test_bench_incremental_speedup():
     speedup = scratch_seconds / incremental_seconds
     print(
         f"\nincremental re-run ({CIRCUIT}@{SCALE} seed {SURROGATE_SEED}, "
-        f"{outcome.result.total_faults} faults, non-robust, {BACKEND}): "
+        f"{outcome.result.total_faults} faults, non-robust, {default_backend()}): "
         f"scratch {scratch_seconds:.1f}s -> incremental "
         f"{incremental_seconds:.1f}s ({speedup:.2f}x); cone "
         f"{outcome.cone_size} signal(s), kept {outcome.kept}, "
@@ -110,7 +109,7 @@ def test_bench_incremental_speedup():
                 "surrogate_seed": SURROGATE_SEED,
                 "n_faults": outcome.result.total_faults,
                 "robust": ROBUST,
-                "backend": BACKEND,
+                "backend": default_backend(),
                 "backtrack_limit": BACKTRACK_LIMIT,
                 "edit": "ECO observer: AND(pi0, pi1) at a new PO",
                 "description": (

@@ -2,7 +2,7 @@
 
 The observability contract (``docs/OBSERVABILITY.md``) has two halves, and
 this benchmark gates both on the same workload as the hybrid benchmark — a
-full-universe s838@0.5 surrogate campaign on the ``bigint`` tier under the
+full-universe s838@0.5 surrogate campaign on the default backend under the
 non-robust model:
 
 * **no perturbation** — the metrics-on campaign must be fingerprint-
@@ -23,13 +23,13 @@ import time
 from benchconfig import write_bench_results
 from repro.core.flow import SequentialDelayATPG
 from repro.data import load_circuit
+from repro.fausim import default_backend
 from repro.faults.model import enumerate_delay_faults
 from repro.obs.metrics import MetricsRegistry
 
 #: Same workload as ``test_bench_hybrid``: a random-testable s838 surrogate
-#: at half scale, full fault universe, non-robust model, bigint tier.
+#: at half scale, full fault universe, non-robust model, default backend.
 CIRCUIT, SCALE, SURROGATE_SEED = "s838", 0.5, 53
-BACKEND = "bigint"
 ROBUST = False
 #: Interleaved repetitions per leg; minima are compared.
 REPS = 3
@@ -65,7 +65,7 @@ def _run(metrics):
     circuit = load_circuit(CIRCUIT, scale=SCALE, seed=SURROGATE_SEED)
     faults = enumerate_delay_faults(circuit)
     atpg = SequentialDelayATPG(
-        circuit, robust=ROBUST, backend=BACKEND, metrics=metrics
+        circuit, robust=ROBUST, metrics=metrics
     )
     start = time.perf_counter()
     campaign = atpg.run(faults=faults)
@@ -94,7 +94,7 @@ def test_bench_observability_overhead():
     overhead = on_best / off_best
     print(
         f"\nobservability overhead ({CIRCUIT}@{SCALE} seed {SURROGATE_SEED}, "
-        f"{on_campaign.total_faults} faults, non-robust, {BACKEND}): "
+        f"{on_campaign.total_faults} faults, non-robust, {default_backend()}): "
         f"metrics off {off_best:.2f}s -> on {on_best:.2f}s "
         f"({(overhead - 1) * 100:+.1f}%, gate {(GATE - 1) * 100:.0f}%)"
     )
@@ -106,7 +106,7 @@ def test_bench_observability_overhead():
                 "surrogate_seed": SURROGATE_SEED,
                 "n_faults": on_campaign.total_faults,
                 "robust": ROBUST,
-                "backend": BACKEND,
+                "backend": default_backend(),
                 "reps": REPS,
                 "description": "full-universe campaign, metrics registry on vs off",
             },

@@ -3,7 +3,7 @@
 Grading a candidate sequence against the whole fault list is the dominant
 cost of the random baseline and of any pattern-reuse strategy: the reference
 path replays the full sequence once per fault, while the packed path grades
-63 faulty machines next to the shared good machine in every bit-parallel
+every faulty machine next to the shared good machine in one bit-parallel
 sweep (:func:`repro.core.verify.grade_test_sequence`).
 
 ``test_bench_packed_grading_speedup`` is the acceptance gate of the

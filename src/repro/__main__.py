@@ -118,12 +118,10 @@ def _add_campaign_parser(subparsers, parents) -> None:
         default=None,
         help=(
             "simulation and implication backend (default: packed, the "
-            "compiled bit-parallel evaluators used for fault simulation AND "
-            "the search-side forward implication of TDgen/SEMILET; 'bigint' "
-            "runs the same evaluators on one unbounded-width integer plane; "
-            "'numpy' uses the levelized uint64 array kernel and degrades to "
-            "the bit-identical bigint tier when numpy is absent; pass "
-            "'reference' for the per-gate interpreter oracles)"
+            "compiled bit-parallel evaluators on unbounded-width integer "
+            "planes used for fault simulation AND the search-side forward "
+            "implication of TDgen/SEMILET; pass 'reference' for the "
+            "per-gate interpreter oracles)"
         ),
     )
     parser.add_argument(

@@ -8,7 +8,7 @@ verification of :mod:`repro.core.verify`.  It provides the classic
 
 Grading dispatches through the ``backend`` parameter (the shared
 :mod:`repro.fausim.backends` registry): the default ``packed`` backend
-grades one faulty machine per word slot, ``reference`` interprets.
+grades one faulty machine per bit slot, ``reference`` interprets.
 """
 
 from __future__ import annotations
@@ -103,8 +103,8 @@ class RandomSequenceATPG:
             sequences_applied += 1
             pattern_count += sequence.pattern_count
             # One fault-parallel sweep grades the sequence against every
-            # still-undetected fault (packed backend: 63 faulty machines per
-            # word next to the shared good machine).
+            # still-undetected fault (packed backend: one faulty machine per
+            # bit slot next to the shared good machine).
             grades = grade_test_sequence(
                 self.circuit, sequence, remaining, backend=self.backend
             )

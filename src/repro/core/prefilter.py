@@ -11,9 +11,9 @@ split on top of the repo's fault-parallel machinery:
    index alone (:func:`derive_prefix_seed`), so a resumed prefix regenerates
    sequence ``k`` without replaying the RNG history of sequences ``0..k-1``.
 2. **Grade** each sequence against the entire *remaining* fault universe
-   word-parallel (:func:`repro.core.verify.grade_test_sequence`: the good
-   machine in slot 0, one gross-delay faulty machine per remaining word
-   slot).  The gross-delay grade is the cheap necessary condition — a
+   in one bit-parallel pass (:func:`repro.core.verify.grade_test_sequence`:
+   the good machine in slot 0, one gross-delay faulty machine per remaining
+   fault in the slots after it).  The gross-delay grade is the cheap necessary condition — a
    superset of what the eight-valued rule credits.
 3. **Confirm** the candidates through the exact eight-valued TDsim/CPT pass
    (:func:`repro.core.flow.simulate_sequence_detections`), so a fault is
@@ -29,10 +29,10 @@ Everything here is a pure function of (circuit, universe, config): Phase A
 runs single-threaded before any sharding, which is what lets the orchestrator
 keep the hybrid campaign bit-identical across worker counts, partition modes
 and interrupt/resume cycles.  :class:`RandomPrefixEngine` accepts the usual
-``backend`` parameter for its grading/confirmation simulators (``reference``,
-``packed``, ``bigint``, ``numpy``); all backends are bit-identical by
-contract, so the choice is purely a wall-clock knob — ``bigint`` grades the
-whole universe fastest (see ``BENCH_kernels.json``).
+``backend`` parameter for its grading/confirmation simulators (``reference``
+or ``packed``); both are bit-identical by contract, so the choice is purely
+a wall-clock knob — ``packed`` grades the whole universe in one pass per
+frame.
 """
 
 from __future__ import annotations
@@ -263,7 +263,7 @@ class RandomPrefixEngine:
     def evaluate(
         self, sequence: TestSequence, remaining: Sequence[GateDelayFault]
     ) -> Tuple[List[GateDelayFault], int]:
-        """Credit one sequence: word-parallel grade, then TDsim confirmation.
+        """Credit one sequence: bit-parallel grade, then TDsim confirmation.
 
         Returns ``(credited, candidates)``: the faults of ``remaining`` the
         sequence detects under the eight-valued rule (in input order) and the

@@ -21,12 +21,11 @@ Two entry points share the machinery:
 :func:`grade_test_sequence`
     Grade one sequence against *many* faults at once.  With the packed
     backend the good machine occupies pattern slot 0 and one faulty machine
-    occupies each remaining slot of the word, so a whole fault list is graded
-    in ``ceil(faults / 63)`` bit-parallel sweeps instead of one full
-    interpreter replay per fault — this is what the random baseline and the
-    grading benchmarks run.  With the reference backend the faults are
-    replayed one at a time; the two paths are differentially tested to be
-    identical.
+    occupies each slot after it, so a whole fault list is graded in one
+    bit-parallel sweep instead of one full interpreter replay per fault —
+    this is what the random baseline and the grading benchmarks run.  With
+    the reference backend the faults are replayed one at a time; the two
+    paths are differentially tested to be identical.
 """
 
 from __future__ import annotations
@@ -244,7 +243,7 @@ def _grade_packed(
     faults: Sequence[GateDelayFault],
     collect_traces: bool = False,
 ) -> Tuple[List[FaultGrade], List[SignalValues], List[SignalValues]]:
-    """Grade one word of faults in lockstep: good machine in slot 0.
+    """Grade a batch of faults in lockstep: good machine in slot 0.
 
     All machines are identical until the fast frame, so every slot shares the
     broadcast primary inputs and the carried state planes; the fast frame
@@ -359,18 +358,13 @@ def grade_test_sequence(
         sequence: the applied vectors with their slow/fast clock schedule.
         faults: the fault universe to grade.
         backend: good-machine simulation backend (see
-            :mod:`repro.fausim.backends`); the packed backend grades one
-            faulty machine per word slot, the reference backend replays one
-            fault at a time.
+            :mod:`repro.fausim.backends`); the packed backend grades every
+            faulty machine in its own bit slot of one pass, the reference
+            backend replays one fault at a time.
     """
     simulator = create_simulator(circuit, backend)
     if isinstance(simulator, PackedLogicSimulator):
-        grades: List[FaultGrade] = []
-        chunk_width = max(1, simulator.word_bits - 1)
-        for start in range(0, len(faults), chunk_width):
-            chunk = list(faults[start : start + chunk_width])
-            grades.extend(_grade_packed(circuit, simulator, sequence, chunk)[0])
-        return grades
+        return _grade_packed(circuit, simulator, sequence, list(faults))[0]
     order = combinational_order(circuit)
     return [
         _grade_scalar(circuit, simulator, order, sequence, fault, collect_traces=False)[0]

@@ -12,15 +12,13 @@ the first two:
 The third phase (delay fault critical path tracing in the fast frame) lives in
 :mod:`repro.tdsim`.
 
-Good-machine simulation is available through four interchangeable backends
+Good-machine simulation is available through two interchangeable backends
 (see :mod:`repro.fausim.backends`): the compiled bit-parallel ``packed``
-evaluator (the process default), the unbounded-width ``bigint`` tier, the
-levelized vectorised ``numpy`` tier (optional dependency, degrading to
-``bigint``) and the ``reference`` per-gate interpreter (the
-differential-testing oracle).  The compiled substrate also hosts the
-eight-valued fault-parallel two-frame simulator
-(:mod:`repro.fausim.packed_two_frame`) that TDsim's exact injection checks
-run on.
+evaluator on unbounded-width planes (the process default) and the
+``reference`` per-gate interpreter (the differential-testing oracle).  The
+compiled substrate also hosts the eight-valued fault-parallel two-frame
+simulator (:mod:`repro.fausim.packed_two_frame`) that TDsim's exact
+injection checks run on.
 """
 
 from repro.fausim.logic_sim import (
@@ -39,26 +37,13 @@ from repro.fausim.backends import (
     resolve_backend,
     set_default_backend,
 )
-from repro.fausim.bigint_sim import BigintLogicSimulator, BigintTwoFrameSimulator
 from repro.fausim.compile import CompiledCircuit, compile_circuit
-from repro.fausim.numpy_sim import (
-    HAVE_NUMPY,
-    LevelizedProgram,
-    NumpyLogicSimulator,
-    levelize_program,
-)
 from repro.fausim.packed_sim import PackedLogicSimulator
 from repro.fausim.packed_two_frame import PackedTwoFrameResult, PackedTwoFrameSimulator
 
 __all__ = [
     "LogicSimulator",
     "PackedLogicSimulator",
-    "BigintLogicSimulator",
-    "BigintTwoFrameSimulator",
-    "NumpyLogicSimulator",
-    "LevelizedProgram",
-    "levelize_program",
-    "HAVE_NUMPY",
     "PackedTwoFrameSimulator",
     "PackedTwoFrameResult",
     "CompiledCircuit",

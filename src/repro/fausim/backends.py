@@ -1,28 +1,17 @@
 """Registry of interchangeable good-machine simulation backends.
 
-Four backends ship with the library:
+Two backends ship with the library:
 
 ``reference``
     :class:`~repro.fausim.logic_sim.LogicSimulator` — the per-gate
     interpreter.  Slow but transparent; it is the oracle the differential
-    test harness checks every other backend against.
+    test harness checks the compiled backend against.
 
 ``packed``
     :class:`~repro.fausim.packed_sim.PackedLogicSimulator` — the compiled
-    bit-parallel evaluator (64 patterns per word).
-
-``bigint``
-    :class:`~repro.fausim.bigint_sim.BigintLogicSimulator` — the packed
-    evaluator on unbounded-width Python integer planes: one gate evaluation
-    covers the entire pattern/fault batch in a single big-integer operation
-    instead of one Python loop iteration per 64-bit word.
-
-``numpy``
-    :class:`~repro.fausim.numpy_sim.NumpyLogicSimulator` — the levelized
-    vectorised kernel: each topological level of the compiled netlist
-    evaluates as uint64 array operations across all gates of the level at
-    once.  numpy is optional; without it the factory silently degrades to
-    the bit-identical ``bigint`` tier.
+    bit-parallel evaluator.  Every signal plane is one unbounded-width Python
+    integer, so one gate evaluation covers the entire pattern/fault batch in
+    a single big-integer operation, however wide the batch is.
 
 All consumers (:class:`~repro.fausim.fault_sim.PropagationFaultSimulator`,
 :func:`~repro.core.verify.verify_test_sequence`, the flow and the baselines)
@@ -51,12 +40,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Tuple
 
 from repro.circuit.netlist import Circuit
-from repro.fausim.bigint_sim import (
-    BigintLogicSimulator,
-    BigintTwoFrameSimulator,
-)
 from repro.fausim.logic_sim import LogicSimulator
-from repro.fausim.numpy_sim import HAVE_NUMPY, create_numpy_simulator
 from repro.fausim.packed_sim import PackedLogicSimulator
 from repro.fausim.packed_two_frame import PackedTwoFrameSimulator
 
@@ -68,12 +52,6 @@ BackendFactory = Callable[[Circuit], object]
 
 REFERENCE_BACKEND = "reference"
 PACKED_BACKEND = "packed"
-BIGINT_BACKEND = "bigint"
-NUMPY_BACKEND = "numpy"
-
-#: Backends whose planes live on the compiled netlist; they share the packed
-#: data model and differ only in word width / evaluation strategy.
-COMPILED_BACKENDS = (PACKED_BACKEND, BIGINT_BACKEND, NUMPY_BACKEND)
 
 _REGISTRY: Dict[str, BackendFactory] = {}
 _default_backend = PACKED_BACKEND
@@ -129,25 +107,17 @@ def create_simulator(circuit: Circuit, backend: "str | None" = None):
 def create_two_frame_simulator(
     circuit: Circuit, robust: bool = True, backend: "str | None" = None
 ):
-    """Build the eight-valued two-frame simulator matching a backend tier.
+    """Build the eight-valued two-frame simulator matching a backend.
 
     Returns ``None`` for the ``reference`` backend (its consumers route the
     exact injection checks through the interpreted implication engine
-    instead).  The ``packed`` tier chunks injections at 64 per word; the
-    ``bigint`` and ``numpy`` tiers run the whole injection batch through one
-    unbounded-width pass (the eight-valued set planes are plane-count bound,
-    not level bound, so the vectorised tier shares the bigint substrate
-    here).
+    instead).  The ``packed`` simulator runs a whole injection batch through
+    one unbounded-width pass.
     """
-    resolved = resolve_backend(backend)
-    if resolved == PACKED_BACKEND:
+    if resolve_backend(backend) == PACKED_BACKEND:
         return PackedTwoFrameSimulator(circuit, robust=robust)
-    if resolved in (BIGINT_BACKEND, NUMPY_BACKEND):
-        return BigintTwoFrameSimulator(circuit, robust=robust)
     return None
 
 
 register_backend(REFERENCE_BACKEND, LogicSimulator)
 register_backend(PACKED_BACKEND, PackedLogicSimulator)
-register_backend(BIGINT_BACKEND, BigintLogicSimulator)
-register_backend(NUMPY_BACKEND, create_numpy_simulator)

@@ -52,11 +52,9 @@ from repro.circuit.gates import evaluate_gate
 from repro.circuit.netlist import Circuit, LineKind
 from repro.faults.model import GateDelayFault
 from repro.fausim import backends as _sim_backends
-from repro.fausim.bigint_sim import BIGINT_WORD_BITS
 from repro.fausim.compile import CompiledCircuit, compile_circuit
 from repro.fausim.logic_sim import LogicSimulator, SignalValues
-from repro.fausim.numpy_sim import HAVE_NUMPY, NumpyLogicSimulator
-from repro.fausim.packed_sim import PackedLogicSimulator, PackedPlanes, WORD_BITS
+from repro.fausim.packed_sim import PackedLogicSimulator, PackedPlanes
 from repro.obs.metrics import NULL_REGISTRY
 from repro.tdgen.context import TDgenContext
 from repro.tdgen.simulation import (
@@ -813,21 +811,6 @@ class _PackedFrames(CandidateFrames):
         return values
 
 
-class _ChunkedStates(CandidateStates):
-    """Concatenation view over per-word chunks of candidate results."""
-
-    def __init__(self, chunks: Sequence[CandidateStates], chunk_size: int) -> None:
-        self._chunks = list(chunks)
-        self._chunk_size = chunk_size
-
-    def __len__(self) -> int:
-        return sum(len(chunk) for chunk in self._chunks)
-
-    def state(self, index: int) -> TwoFrameState:
-        """Route the flat index into the owning chunk."""
-        return self._chunks[index // self._chunk_size].state(index % self._chunk_size)
-
-
 @dataclasses.dataclass(frozen=True)
 class _InfluenceCone(object):
     """Static influence cone of one decision variable.
@@ -878,15 +861,11 @@ class PackedImplicationEngine(ImplicationEngine):
         circuit: Circuit,
         robust: bool = True,
         context: Optional[TDgenContext] = None,
-        word_bits: int = WORD_BITS,
     ) -> None:
         super().__init__(circuit, robust=robust, context=context)
-        if word_bits < 2:
-            raise ValueError("word_bits must be at least 2 (pair frames need 2 slots)")
-        self.word_bits = word_bits
         self.compiled: CompiledCircuit = compile_circuit(circuit)
         self._sets = PackedSetSimulator(self.compiled, robust=robust)
-        self._logic = PackedLogicSimulator(circuit, word_bits=word_bits)
+        self._logic = PackedLogicSimulator(circuit)
         compiled = self.compiled
         self._pi_items: List[Tuple[int, str]] = list(
             zip(compiled.pi_slots, circuit.primary_inputs)
@@ -905,21 +884,12 @@ class PackedImplicationEngine(ImplicationEngine):
         """One packed set-propagation sweep, one candidate per word slot."""
         if not candidates:
             raise ValueError("need at least one candidate")
-        if len(candidates) <= self.word_bits:
-            incremental = self._try_incremental(
-                pi_values, ppi_initial, fault, candidates, base
-            )
-            if incremental is not None:
-                return incremental
-            return self._implicate_chunk(pi_values, ppi_initial, fault, candidates)
-        chunks = [
-            self._implicate_chunk(
-                pi_values, ppi_initial, fault,
-                candidates[start : start + self.word_bits],
-            )
-            for start in range(0, len(candidates), self.word_bits)
-        ]
-        return _ChunkedStates(chunks, self.word_bits)
+        incremental = self._try_incremental(
+            pi_values, ppi_initial, fault, candidates, base
+        )
+        if incremental is not None:
+            return incremental
+        return self._implicate_full(pi_values, ppi_initial, fault, candidates)
 
     def _try_incremental(
         self, pi_values, ppi_initial, fault, candidates, base
@@ -1168,8 +1138,8 @@ class PackedImplicationEngine(ImplicationEngine):
             frame1_slots=frame1_slots,
         )
 
-    def _implicate_chunk(self, pi_values, ppi_initial, fault, candidates) -> _PackedStates:
-        """Evaluate one word's worth of two-frame candidates."""
+    def _implicate_full(self, pi_values, ppi_initial, fault, candidates) -> _PackedStates:
+        """Full sweep: every signal of every two-frame candidate."""
         compiled = self.compiled
         width = len(candidates)
         full = (1 << width) - 1
@@ -1304,11 +1274,6 @@ class PackedImplicationEngine(ImplicationEngine):
         """One packed pass; candidate ``i`` occupies slots ``2i`` / ``2i + 1``."""
         if not candidates:
             raise ValueError("need at least one candidate")
-        per_word = self.word_bits // 2
-        if len(candidates) > per_word:
-            raise ValueError(
-                f"{len(candidates)} pair candidates exceed {per_word} per word"
-            )
         compiled = self.compiled
         width = 2 * len(candidates)
         full = (1 << width) - 1
@@ -1417,10 +1382,6 @@ class PackedImplicationEngine(ImplicationEngine):
         """One packed three-valued pass, one candidate per word slot."""
         if not candidates:
             raise ValueError("need at least one candidate")
-        if len(candidates) > self.word_bits:
-            raise ValueError(
-                f"{len(candidates)} frame candidates exceed the word width {self.word_bits}"
-            )
         compiled = self.compiled
         width = len(candidates)
         full = (1 << width) - 1
@@ -1467,54 +1428,6 @@ class PackedImplicationEngine(ImplicationEngine):
         planes = PackedPlanes(zero=zero, one=one, width=width)
         self._logic.evaluate_planes(planes)
         return _PackedFrames(compiled, planes, width)
-
-
-class BigintImplicationEngine(PackedImplicationEngine):
-    """The packed implication engine on unbounded-width integer planes.
-
-    Identical algorithms, one effectively infinite word: a candidate batch of
-    any size (every decision alternative, every justification frame) runs as
-    a single sweep over the compiled gate program instead of one sweep per
-    64-slot chunk.  Registered under ``"bigint"``, matching the simulation
-    backend of the same substrate (:mod:`repro.fausim.bigint_sim`).
-    """
-
-    name = "bigint"
-
-    def __init__(
-        self,
-        circuit: Circuit,
-        robust: bool = True,
-        context: Optional[TDgenContext] = None,
-    ) -> None:
-        super().__init__(
-            circuit, robust=robust, context=context, word_bits=BIGINT_WORD_BITS
-        )
-
-
-class NumpyImplicationEngine(BigintImplicationEngine):
-    """The ``numpy``-tier implication engine.
-
-    The three-valued passes (frame justification candidates, SEMILET pair
-    frames) run on the levelized vectorised simulator when numpy is
-    available; the eight-valued *set* sweeps keep the byte-word kernel of
-    the bigint tier — decision batches are a few candidates wide, so the
-    cost is the per-gate interpretation, which vectorisation over candidates
-    would not remove.  Without numpy the engine is
-    exactly the bigint engine (graceful degradation).
-    """
-
-    name = "numpy"
-
-    def __init__(
-        self,
-        circuit: Circuit,
-        robust: bool = True,
-        context: Optional[TDgenContext] = None,
-    ) -> None:
-        super().__init__(circuit, robust=robust, context=context)
-        if HAVE_NUMPY:
-            self._logic = NumpyLogicSimulator(circuit)
 
 
 # --------------------------------------------------------------------------- #
@@ -1608,5 +1521,3 @@ def create_implication_engine(
 
 register_implication_engine(ReferenceImplicationEngine.name, ReferenceImplicationEngine)
 register_implication_engine(PackedImplicationEngine.name, PackedImplicationEngine)
-register_implication_engine(BigintImplicationEngine.name, BigintImplicationEngine)
-register_implication_engine(NumpyImplicationEngine.name, NumpyImplicationEngine)

@@ -1148,31 +1148,5 @@ def create_search_kernels(engine, name: Optional[str] = None) -> SearchKernels:
     return _REGISTRY[resolved](engine)
 
 
-class BigintSearchKernels(PackedSearchKernels):
-    """The compiled search walks for the unbounded-width ``bigint`` engine.
-
-    The kernels themselves are width-agnostic — they read extracted slot
-    columns and walk the flat arrays — so the bigint tier reuses the packed
-    kernels verbatim; the registration only keeps the name coupling intact
-    (``engine.name`` resolves to the kernels of the same substrate).
-    """
-
-    name = "bigint"
-
-
-class NumpySearchKernels(PackedSearchKernels):
-    """The compiled search walks for the levelized ``numpy`` engine.
-
-    Search queries are per-decision scalar walks (frontier scans, pin-order
-    backtraces) with no per-word loop to vectorise, so the numpy tier shares
-    the packed kernels; the potential-difference scan it inherits is already
-    computed once per candidate batch.
-    """
-
-    name = "numpy"
-
-
 register_search_kernels(ReferenceSearchKernels.name, ReferenceSearchKernels)
 register_search_kernels(PackedSearchKernels.name, PackedSearchKernels)
-register_search_kernels(BigintSearchKernels.name, BigintSearchKernels)
-register_search_kernels(NumpySearchKernels.name, NumpySearchKernels)

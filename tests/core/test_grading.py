@@ -49,7 +49,7 @@ def random_sequence(rng: random.Random, circuit, length: int = 6) -> TestSequenc
 
 @pytest.mark.parametrize("seed", range(0, 30))
 def test_grading_bit_exact_across_backends(seed):
-    """Packed word-parallel grading equals the reference per-fault replay."""
+    """Packed bit-parallel grading equals the reference per-fault replay."""
     circuit = random_circuit(seed)
     rng = random.Random(6000 + seed)
     sequence = random_sequence(rng, circuit)
@@ -102,11 +102,11 @@ def test_verify_report_identical_across_backends(seed):
 
 
 def test_grading_chunks_beyond_word_width(s27):
-    """Fault lists longer than one word chunk transparently."""
+    """A fault list wider than 64 slots grades in one pass, like the reference."""
     rng = random.Random(42)
     sequence = random_sequence(rng, s27, length=8)
     faults = enumerate_delay_faults(s27) * 2  # duplicates are graded per slot
-    assert len(faults) > 63  # straddles the word boundary — the point of the test
+    assert len(faults) > 63  # crosses the 64-bit boundary — the point of the test
     want = grade_test_sequence(s27, sequence, faults, backend="reference")
     got = grade_test_sequence(s27, sequence, faults, backend="packed")
     assert [(g.detected, g.detection_frame, g.primary_output) for g in got] == [

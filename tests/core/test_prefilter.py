@@ -152,7 +152,7 @@ def test_replay_out_of_order_is_rejected(s344_small, prefix_outcome):
 
 def test_backends_agree(s344_small, prefix_outcome):
     """The prefix phase is backend-independent like every other layer."""
-    engine = RandomPrefixEngine(s344_small, CONFIG, backend="bigint")
+    engine = RandomPrefixEngine(s344_small, CONFIG, backend="reference")
     outcome = engine.run(enumerate_delay_faults(s344_small))
     assert _journal_form(outcome) == _journal_form(prefix_outcome)
 

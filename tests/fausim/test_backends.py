@@ -1,5 +1,7 @@
 """Backend registry and circuit compiler."""
 
+import random
+
 import pytest
 
 from repro.circuit.builder import CircuitBuilder
@@ -15,6 +17,7 @@ from repro.fausim import (
     resolve_backend,
     set_default_backend,
 )
+from repro.obs.metrics import MetricsRegistry
 
 
 def test_builtin_backends_registered():
@@ -96,83 +99,41 @@ def test_compile_cache_reused_and_invalidated():
     assert "z" in second.slot_of
 
 
-def test_packed_word_bits_validation(s27):
-    with pytest.raises(ValueError):
-        PackedLogicSimulator(s27, word_bits=0)
-
-
 # --------------------------------------------------------------------------- #
-# the kernel tier: bigint and numpy
+# the two tiers: reference and packed
 # --------------------------------------------------------------------------- #
 def test_kernel_tier_backends_registered():
-    assert "bigint" in available_backends()
-    assert "numpy" in available_backends()
+    """The simulation, implication and search registries hold the same two."""
+    from repro.tdgen.implication import available_implication_engines
+    from repro.tdgen.search import available_search_kernels
+
+    assert available_backends() == ("packed", "reference")
+    assert available_implication_engines() == ("packed", "reference")
+    assert available_search_kernels() == ("packed", "reference")
 
 
-def test_bigint_tier_is_unbounded_packed(s27):
-    from repro.fausim import BigintLogicSimulator
-
-    simulator = create_simulator(s27, "bigint")
-    assert isinstance(simulator, BigintLogicSimulator)
-    assert isinstance(simulator, PackedLogicSimulator)
-    # one chunk covers any realistic pattern/fault batch
-    assert simulator.word_bits > 10**18
-
-
-def test_numpy_backend_resolves(s27):
-    from repro.fausim import HAVE_NUMPY, BigintLogicSimulator
-    from repro.fausim.numpy_sim import NumpyLogicSimulator
-
-    simulator = create_simulator(s27, "numpy")
-    if HAVE_NUMPY:
-        assert isinstance(simulator, NumpyLogicSimulator)
-    else:
-        assert isinstance(simulator, BigintLogicSimulator)
-
-
-def test_numpy_backend_degrades_without_numpy(s27, monkeypatch):
-    """``--backend numpy`` must stay correct on a numpy-less host."""
-    import repro.fausim.numpy_sim as numpy_sim
-    from repro.fausim import BigintLogicSimulator
-
-    monkeypatch.setattr(numpy_sim, "HAVE_NUMPY", False)
-    simulator = numpy_sim.create_numpy_simulator(s27)
-    assert isinstance(simulator, BigintLogicSimulator)
-    with pytest.raises(RuntimeError, match="numpy is not installed"):
-        numpy_sim.NumpyLogicSimulator(s27)
+def test_packed_tier_is_unbounded(s27):
+    """A batch far wider than a machine word is one evaluation pass."""
+    simulator = create_simulator(s27, "packed")
+    simulator.metrics = MetricsRegistry()
+    rng = random.Random(5)
+    width = 200
+    vectors = [
+        {pi: rng.choice((0, 1, None)) for pi in s27.primary_inputs}
+        for _ in range(width)
+    ]
+    frames = simulator.combinational_batch(vectors)
+    reference = LogicSimulator(s27)
+    assert frames == [reference.combinational(vector, {}) for vector in vectors]
+    # One pass: every gate is counted once at ceil(200 / 64) = 4 words.
+    words = simulator.metrics.counter_sum("repro_sim_gate_words_total")
+    assert words == len(s27.combinational_gates) * 4
 
 
 def test_two_frame_factory_matches_tiers(s27):
-    from repro.fausim import (
-        BigintTwoFrameSimulator,
-        PackedTwoFrameSimulator,
-        create_two_frame_simulator,
-    )
+    from repro.fausim import PackedTwoFrameSimulator, create_two_frame_simulator
 
     assert isinstance(
         create_two_frame_simulator(s27, backend="packed"), PackedTwoFrameSimulator
     )
-    assert isinstance(
-        create_two_frame_simulator(s27, backend="bigint"), BigintTwoFrameSimulator
-    )
-    assert isinstance(
-        create_two_frame_simulator(s27, backend="numpy"), BigintTwoFrameSimulator
-    )
     assert create_two_frame_simulator(s27, backend="reference") is None
-
-
-def test_levelized_program_covers_whole_netlist(s27):
-    """Every gate appears in exactly one level group, fanins one level down."""
-    from repro.fausim import compile_circuit, levelize_program
-
-    compiled = compile_circuit(s27)
-    program = levelize_program(compiled)
-    assert program.num_signals == compiled.num_signals
-    seen = []
-    for level_index, groups in enumerate(program.levels):
-        for group in groups:
-            for row in range(len(group.first_position)):
-                out = int(group.out_slots[row])
-                seen.append(out)
-                assert program.level_of_out[out] == level_index
-    assert sorted(seen) == sorted(compiled.outputs)

@@ -176,6 +176,54 @@ def test_observability_map_bit_exact(seed):
         assert got[ppi].primary_output == want[ppi].primary_output, f"seed {seed}: {ppi}"
 
 
+def test_observability_map_wider_than_a_word():
+    """70 candidate PPIs plus the good machine run as one 71-slot pass."""
+    rng = random.Random(71)
+    builder = CircuitBuilder("wide_state")
+    inputs = builder.inputs([f"i{index}" for index in range(4)])
+    ffs = [f"q{index}" for index in range(70)]
+    pool: List[str] = list(inputs) + ffs
+    for index in range(140):
+        builder.gate(rng.choice(_MULTI_INPUT), f"g{index}", rng.sample(pool, 2))
+        pool.append(f"g{index}")
+    for index, ff in enumerate(ffs):
+        builder.dff(ff, f"g{2 * index}")
+    for po in pool[-8:]:
+        builder.output(po)
+    circuit = builder.build()
+
+    vectors = [random_vector(rng, circuit.primary_inputs) for _ in range(4)]
+    state = {ppi: rng.randint(0, 1) for ppi in circuit.pseudo_primary_inputs}
+    reference = PropagationFaultSimulator(circuit, vectors, backend="reference")
+    packed = PropagationFaultSimulator(circuit, vectors, backend="packed")
+    want = reference.observability_map(state, ffs)
+    got = packed.observability_map(state, ffs)
+    assert any(result.observable for result in want.values())
+    assert got == want
+
+
+def test_wide_clock_and_sequence_batches(s27):
+    """Batches of 100 patterns / sequences match the reference in one pass."""
+    rng = random.Random(99)
+    reference = LogicSimulator(s27)
+    packed = PackedLogicSimulator(s27)
+    vectors = [random_vector(rng, s27.primary_inputs) for _ in range(100)]
+    states = [random_state(rng, s27) for _ in range(100)]
+    frames = packed.clock_batch(vectors, states)
+    assert frames == [
+        reference.clock(vector, state) for vector, state in zip(vectors, states)
+    ]
+
+    sequences = [
+        [random_vector(rng, s27.primary_inputs) for _ in range(3)] for _ in range(100)
+    ]
+    results = packed.sequence_batch(sequences, states)
+    for sequence, state, got in zip(sequences, states, results):
+        want = simulate_sequence(s27, sequence, state)
+        assert got.frames == want.frames
+        assert got.final_state == want.final_state
+
+
 def test_exhaustive_three_valued_s27(s27):
     """All 3^4 input combinations x sample states on the real s27 netlist."""
     reference = LogicSimulator(s27)
@@ -189,20 +237,6 @@ def test_exhaustive_three_valued_s27(s27):
     results = packed.combinational_batch(vectors, state_list)
     for vector, state, got in zip(vectors, state_list, results):
         assert got == reference.combinational(vector, state)
-
-
-def test_word_boundary_chunking(s27):
-    """Batches straddling the word width split and reassemble correctly."""
-    rng = random.Random(99)
-    reference = LogicSimulator(s27)
-    narrow = PackedLogicSimulator(s27, word_bits=8)
-    for batch_size in (7, 8, 9, 17):
-        vectors = [random_vector(rng, s27.primary_inputs) for _ in range(batch_size)]
-        states = [random_state(rng, s27) for _ in range(batch_size)]
-        results = narrow.combinational_batch(vectors, states)
-        assert len(results) == batch_size
-        for vector, state, got in zip(vectors, states, results):
-            assert got == reference.combinational(vector, state)
 
 
 def test_sequence_batch_rejects_ragged_input(s27):

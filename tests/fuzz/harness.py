@@ -302,7 +302,7 @@ def _check_simulation(case: FuzzCase, circuit: Circuit, failures: List[str]) -> 
                 failures.append(f"simulation[{backend}]: scalar frame {index} differs")
                 break
             state = frame.next_state
-        # the batched plane path (the packed/bigint/numpy fast pass)
+        # the batched plane path (the packed fast pass)
         batch = simulator.sequence_batch(
             case.sequences,
             initial_states=[dict(case.initial_state) for _ in case.sequences],

@@ -21,7 +21,7 @@ def test_fault_cost_json_round_trip():
         fault="G10 StF", status="aborted", phase="local test generation",
         seconds=0.125, attempts=3, local_backtracks=7, sequential_backtracks=2,
         decisions=19, implication_sweeps=20, wavefront_skipped=5,
-        words_simulated=64, engine="bigint",
+        words_simulated=64, engine="packed",
     )
     payload = json.loads(json.dumps(cost.to_json()))
     assert FaultCost.from_json(payload) == cost

@@ -211,7 +211,8 @@ def test_resume_under_different_backend(tmp_path, s344_small, s344_serial):
 
     The digest deliberately excludes the backend (all backends are pinned
     bit-exact), so the finished per-fault records of a ``packed`` campaign
-    must be accepted — and completed identically — by a ``bigint`` resume.
+    must be accepted — and completed identically — by a ``reference``
+    resume.
     """
     path = str(tmp_path / "journal.jsonl")
     CampaignOrchestrator(
@@ -234,7 +235,7 @@ def test_resume_under_different_backend(tmp_path, s344_small, s344_serial):
 
     resumed = CampaignOrchestrator(
         s344_small,
-        config=OrchestratorConfig(jobs=2, backend="bigint"),
+        config=OrchestratorConfig(jobs=2, backend="reference"),
         journal_path=path,
         resume=True,
     ).run()

@@ -11,6 +11,8 @@ the named cases and the failure modes.
 
 from __future__ import annotations
 
+import sqlite3
+
 import pytest
 
 from repro.circuit.gates import GateType
@@ -77,7 +79,7 @@ def test_unchanged_circuit_reuses_everything(tmp_path):
 
 
 @pytest.mark.parametrize("edit", [_with_observer, _with_type_flip])
-@pytest.mark.parametrize("backend", [None, "bigint"])
+@pytest.mark.parametrize("backend", [None, "reference"])
 def test_incremental_matches_scratch(tmp_path, edit, backend):
     """Fingerprint identity with from-scratch for both edit shapes."""
     circuit = load_circuit("s27")
@@ -94,6 +96,33 @@ def test_incremental_matches_scratch(tmp_path, edit, backend):
         # type flip near the PIs legitimately cones all of little s27.
         assert outcome.reused > 0
         assert outcome.invalidated < outcome.result.total_faults
+
+
+def test_base_stored_under_retired_backend_name(tmp_path):
+    """A base row whose ``backend`` column names a retired tier still serves.
+
+    Stores written before the ``bigint`` and ``numpy`` tiers were folded into
+    ``packed`` carry those names as plain provenance strings.  The campaign
+    digest excludes the backend, so such a row must still be found for a
+    default-backend incremental run and must show up in the ablation view.
+    """
+    circuit = load_circuit("s27")
+    config = _config()
+    path = str(tmp_path / "base.sqlite")
+    store, _ = _store_with_base(tmp_path, circuit, config)
+    store.close()
+    conn = sqlite3.connect(path)
+    with conn:
+        conn.execute("UPDATE campaigns SET backend = 'bigint'")
+    conn.close()
+
+    with CampaignStore(path) as store:
+        outcome = run_incremental(_with_observer(load_circuit("s27")), store, config)
+        ablation = store.backend_ablation()
+    scratch = _scratch(_with_observer(load_circuit("s27")), config)
+    assert outcome.result.fingerprint() == scratch.fingerprint()
+    assert outcome.reused > 0
+    assert [row["backend"] for row in ablation] == ["bigint"]
 
 
 def test_residue_is_exactly_the_cone_intersection(tmp_path):

@@ -285,6 +285,51 @@ def test_justification_frames_bit_exact(seed):
 
 
 # --------------------------------------------------------------------------- #
+# wide batches: one unbounded-width pass, no chunking
+# --------------------------------------------------------------------------- #
+#: More candidates than a 64-bit word holds.
+WIDE = 80
+
+
+@pytest.mark.parametrize("seed", list(range(4)))
+def test_wide_batches_bit_exact(seed):
+    """Batches of 80 candidates (160 pair slots) equal per-candidate runs."""
+    circuit = random_circuit(seed)
+    reference, packed = _engines(circuit)
+    rng = random.Random(900 + seed)
+
+    pi_values, ppi_initial = _partial_assignment(rng, circuit, density=0.3)
+    fault = rng.choice(enumerate_delay_faults(circuit))
+    pool = [("pi", pi, value) for pi in circuit.primary_inputs for value in PI_VALUES]
+    pool += [("ppi", ppi, bit) for ppi in circuit.pseudo_primary_inputs for bit in (0, 1)]
+    candidates = [rng.choice(pool + [None]) for _ in range(WIDE)]
+    want = reference.implicate_candidates(pi_values, ppi_initial, fault, candidates)
+    got = packed.implicate_candidates(pi_values, ppi_initial, fault, candidates)
+    assert len(got) == WIDE
+    for index in range(WIDE):
+        _assert_states_equal(
+            want.state(index), got.state(index), f"seed {seed} candidate {index}"
+        )
+
+    binary = {pi: rng.choice([0, 1, None]) for pi in circuit.primary_inputs}
+    state = {ppi: rng.choice([0, 1, None]) for ppi in circuit.pseudo_primary_inputs}
+    frame_pool = [(pi, True, value) for pi in circuit.primary_inputs for value in (0, 1, None)]
+    frame_pool += [(ppi, False, value) for ppi in circuit.pseudo_primary_inputs for value in (0, 1)]
+    frame_candidates = [rng.choice(frame_pool + [None]) for _ in range(WIDE)]
+    want_frames = reference.frame_candidates(binary, state, frame_candidates)
+    got_frames = packed.frame_candidates(binary, state, frame_candidates)
+    want_pairs = reference.pair_frame_candidates(binary, state, state, {}, frame_candidates)
+    got_pairs = packed.pair_frame_candidates(binary, state, state, {}, frame_candidates)
+    for index in range(WIDE):
+        assert got_frames.frame(index) == want_frames.frame(index), (
+            f"seed {seed} frame candidate {index}"
+        )
+        assert got_pairs.pairs(index) == want_pairs.pairs(index), (
+            f"seed {seed} pair candidate {index}"
+        )
+
+
+# --------------------------------------------------------------------------- #
 # end-to-end campaign equivalence
 # --------------------------------------------------------------------------- #
 def _campaign_fingerprint(campaign):

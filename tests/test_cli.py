@@ -163,6 +163,15 @@ def test_rejects_unknown_backend(capsys):
         main(["campaign", "--circuits", "s27", "--backend", "warp-drive"])
 
 
+def test_retired_backend_names_rejected(capsys):
+    """``--backend`` offers exactly the two tiers; ``bigint``/``numpy`` are gone."""
+    for name in ("bigint", "numpy"):
+        with pytest.raises(SystemExit):
+            main(["campaign", "--circuits", "s27", "--backend", name])
+        err = capsys.readouterr().err
+        assert name in err and "packed" in err and "reference" in err
+
+
 def test_requires_subcommand():
     with pytest.raises(SystemExit):
         main([])
