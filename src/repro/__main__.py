@@ -34,7 +34,6 @@ from typing import List, Optional
 from repro.circuit.bench import parse_bench_file
 from repro.circuit.gates import GateType
 from repro.algebra.tables import format_truth_table
-from repro.core.flow import SequentialDelayATPG
 from repro.core.reporting import (
     format_campaign_table,
     format_prefix_summary,
@@ -46,7 +45,8 @@ from repro.data import circuit_spec, list_circuits, load_circuit
 from repro.fausim.backends import available_backends
 from repro.obs.export import metrics_document
 from repro.obs.metrics import MetricsRegistry, MetricsSnapshot
-from repro.orchestrate import CampaignOrchestrator, OrchestratorConfig
+from repro.orchestrate import OrchestratorConfig
+from repro.orchestrate.campaign import run_campaign, validate_campaign
 from repro.orchestrate.partition import PARTITION_MODES
 
 
@@ -228,9 +228,8 @@ def _add_campaign_parser(subparsers, parents) -> None:
             "same circuit name and settings in this store, re-target only "
             "the faults inside the netlist edit's influence cone and reuse "
             "every other stored outcome — the result is bit-identical to a "
-            "from-scratch run on the edited netlist (serial only; not "
-            "compatible with --jobs > 1, --rpg-prefix, --journal/--resume "
-            "or --time-limit)"
+            "from-scratch run on the edited netlist (serial only; see "
+            "docs/ARCHITECTURE.md for the flags it refuses)"
         ),
     )
 
@@ -240,27 +239,30 @@ def _run_campaign(args: argparse.Namespace) -> int:
     if args.resume and args.journal and args.resume != args.journal:
         print("error: --journal and --resume point at different files", file=sys.stderr)
         return 2
-    orchestrated = args.jobs > 1 or journal_path is not None
-    if orchestrated and args.time_limit is not None:
-        print("error: --time-limit is not supported with --jobs/--journal", file=sys.stderr)
+    config = OrchestratorConfig(
+        jobs=args.jobs,
+        partition=args.partition,
+        campaign_seed=args.seed,
+        robust=not args.non_robust,
+        local_backtrack_limit=args.backtrack_limit,
+        sequential_backtrack_limit=args.backtrack_limit,
+        backend=args.backend,
+        rpg_prefix=args.rpg_prefix,
+        rpg_budget=args.rpg_budget,
+        rpg_window=args.rpg_window,
+    )
+    settings = {
+        "max_target_faults": args.max_faults or None,  # 0 = no cap
+        "time_limit_s": args.time_limit,
+        "journal_path": journal_path,
+        "resume": args.resume is not None,
+        "incremental_from": args.incremental_from,
+    }
+    try:
+        validate_campaign(config, **settings)
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
         return 2
-    if args.incremental_from is not None:
-        # The incremental engine *is* the serial campaign loop with a memo;
-        # every knob that changes which faults the loop visits (sharding,
-        # the random prefix, journal replay, wall-clock cuts) is rejected
-        # instead of silently breaking the bit-identity contract.
-        for flag, active in (
-            ("--jobs > 1", args.jobs > 1),
-            ("--rpg-prefix", args.rpg_prefix),
-            ("--journal/--resume", journal_path is not None),
-            ("--time-limit", args.time_limit is not None),
-        ):
-            if active:
-                print(
-                    f"error: --incremental-from is not supported with {flag}",
-                    file=sys.stderr,
-                )
-                return 2
 
     collect = args.profile or args.metrics_out is not None
     campaigns = []
@@ -272,73 +274,31 @@ def _run_campaign(args: argparse.Namespace) -> int:
     #: instrumentation is on.
     profiles = []
     names = [name.strip() for name in args.circuits.split(",") if name.strip()]
-    max_faults = args.max_faults if args.max_faults > 0 else None
     for name in names:
         registry = MetricsRegistry() if collect else None
         if name.endswith(".bench"):
             circuit = parse_bench_file(name)
         else:
             circuit = load_circuit(name, scale=args.scale)
-        config = OrchestratorConfig(
-            jobs=args.jobs,
-            partition=args.partition,
-            campaign_seed=args.seed,
-            robust=not args.non_robust,
-            local_backtrack_limit=args.backtrack_limit,
-            sequential_backtrack_limit=args.backtrack_limit,
-            backend=args.backend,
-            rpg_prefix=args.rpg_prefix,
-            rpg_budget=args.rpg_budget,
-            rpg_window=args.rpg_window,
-        )
-        if args.incremental_from is not None:
-            from repro.store import CampaignStore, run_incremental
-
-            try:
-                with CampaignStore(args.incremental_from) as base_store:
-                    outcome = run_incremental(
-                        circuit,
-                        base_store,
-                        config,
-                        max_target_faults=max_faults,
-                        metrics=registry,
-                    )
-            except (LookupError, ValueError) as error:
-                print(f"error: {error}", file=sys.stderr)
-                return 2
-            campaign = outcome.result
-            costs = list(outcome.costs)
-            incremental_reports.append((campaign.circuit_name, outcome.summary()))
-        elif orchestrated:
-            orchestrator = CampaignOrchestrator(
-                circuit,
-                config=config,
-                journal_path=journal_path,
-                resume=args.resume is not None,
-                metrics=registry,
-            )
-            campaign = orchestrator.run(max_target_faults=max_faults)
-            costs = list(orchestrator.fault_costs)
-            if orchestrator.shard_stats:
-                shard_reports.append(
-                    format_shard_summary(
-                        orchestrator.shard_stats,
-                        recomputed=orchestrator.recomputed,
-                        title=f"Shard summary — {campaign.circuit_name}",
-                    )
+        try:
+            run = run_campaign(circuit, config, metrics=registry, **settings)
+        except (LookupError, ValueError) as error:
+            if args.incremental_from is None:
+                raise
+            # No matching base campaign, or a stale store.
+            print(f"error: {error}", file=sys.stderr)
+            return 2
+        campaign = run.result
+        if run.incremental is not None:
+            incremental_reports.append((campaign.circuit_name, run.incremental))
+        if run.shard_stats:
+            shard_reports.append(
+                format_shard_summary(
+                    run.shard_stats,
+                    recomputed=run.recomputed,
+                    title=f"Shard summary — {campaign.circuit_name}",
                 )
-        else:
-            atpg = SequentialDelayATPG(
-                circuit,
-                metrics=registry,
-                **config.atpg_kwargs(),
             )
-            campaign = atpg.run(
-                max_target_faults=max_faults,
-                time_limit_s=args.time_limit,
-                prefix=config.prefix_config(),
-            )
-            costs = list(atpg.cost_log)
         if args.store is not None:
             from repro.store import CampaignStore
 
@@ -347,7 +307,7 @@ def _run_campaign(args: argparse.Namespace) -> int:
                     campaign,
                     circuit=circuit,
                     config=config,
-                    costs=costs,
+                    costs=run.costs,
                     source="cli",
                 )
             store_notes.append(
@@ -355,7 +315,7 @@ def _run_campaign(args: argparse.Namespace) -> int:
             )
         campaigns.append(campaign)
         if registry is not None:
-            profiles.append((campaign.circuit_name, registry.snapshot(), costs))
+            profiles.append((campaign.circuit_name, registry.snapshot(), run.costs))
     print(format_campaign_table(campaigns, title="Gate delay fault ATPG results"))
     print()
     print(format_untestable_breakdown(campaigns))

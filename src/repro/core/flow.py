@@ -30,7 +30,7 @@ from __future__ import annotations
 import dataclasses
 import logging
 import time
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.algebra.values import DelayValue, V0, V1
 from repro.circuit.netlist import Circuit
@@ -183,19 +183,18 @@ class SequentialDelayATPG:
                 deterministic flow targets only the residue.  ``max_target_faults``
                 counts residue targets only.
         """
-        from repro.core.prefilter import RandomPrefixEngine, apply_prefix_outcome
+        from repro.core.prefilter import RandomPrefixEngine
 
         fault_universe = list(faults) if faults is not None else enumerate_delay_faults(self.circuit)
-        fault_list = FaultList(fault_universe)
         logger.info(
             "campaign start: circuit=%s faults=%d backend=%s robust=%s",
-            self.circuit.name, len(fault_list), self.backend, self.robust,
+            self.circuit.name, len(fault_universe), self.backend, self.robust,
         )
-        campaign = CampaignResult(circuit_name=self.circuit.name, total_faults=len(fault_list))
         start = time.perf_counter()
         deadline = start + time_limit_s if time_limit_s is not None else None
 
         with self.metrics.timed("repro_phase_seconds", phase="campaign"):
+            prefix_outcome = None
             if prefix is not None:
                 engine = RandomPrefixEngine(
                     self.circuit,
@@ -206,27 +205,16 @@ class SequentialDelayATPG:
                     backend=self.backend,
                 )
                 with self.metrics.timed("repro_phase_seconds", phase="prefix"):
-                    outcome = engine.run(fault_universe, deadline=deadline)
-                apply_prefix_outcome(campaign, fault_list, outcome)
-
-            for fault in fault_universe:
-                if fault_list.status(fault) is not FaultStatus.UNTARGETED:
-                    continue
-                if max_target_faults is not None and campaign.targeted >= max_target_faults:
-                    break
-                if deadline is not None and time.perf_counter() > deadline:
-                    break
-
-                result = self.target_fault(fault, deadline=deadline)
-                newly_detected = credit_fault_result(result, fault_list)
-                campaign.record(result, newly_detected)
-
-        campaign.finalize(fault_list.counts(), time.perf_counter() - start)
-        logger.info(
-            "campaign done: circuit=%s tested=%d untestable=%d aborted=%d time=%.3fs",
-            campaign.circuit_name, campaign.tested, campaign.untestable,
-            campaign.aborted, campaign.cpu_seconds,
-        )
+                    prefix_outcome = engine.run(fault_universe, deadline=deadline)
+            campaign = credit_campaign(
+                self.circuit.name,
+                fault_universe,
+                lambda _index, fault: self.target_fault(fault, deadline=deadline),
+                max_target_faults=max_target_faults,
+                deadline=deadline,
+                prefix_outcome=prefix_outcome,
+                started=start,
+            )
         return campaign
 
     # ------------------------------------------------------------------ #
@@ -693,9 +681,7 @@ def simulate_sequence_detections(
 def credit_fault_result(result: FaultResult, fault_list: FaultList) -> int:
     """Fold one per-fault result into a campaign's fault-list bookkeeping.
 
-    This is the serial-order crediting step shared by
-    :meth:`SequentialDelayATPG.run` and the orchestrator's deterministic
-    replay merge (:mod:`repro.orchestrate.coordinator`): the targeted fault is
+    This is the crediting step of :func:`credit_campaign`: the targeted fault is
     marked with its verdict, ``result.additionally_detected`` (the raw
     detection list produced by :meth:`SequentialDelayATPG.target_fault`) is
     filtered in place down to faults of this campaign's universe, and every
@@ -714,6 +700,56 @@ def credit_fault_result(result: FaultResult, fault_list: FaultList) -> int:
     else:
         fault_list.mark(result.fault, FaultStatus.ABORTED)
     return 0
+
+
+def credit_campaign(
+    circuit_name: str,
+    universe: Sequence[GateDelayFault],
+    step: Callable[[int, GateDelayFault], FaultResult],
+    *,
+    max_target_faults: Optional[int] = None,
+    deadline: Optional[float] = None,
+    prefix_outcome: Optional["PrefixOutcome"] = None,
+    started: float,
+) -> CampaignResult:
+    """The serial campaign loop: the one place faults are targeted and credited.
+
+    Walks ``universe`` in order, skipping faults earlier sequences already
+    detected and stopping at the ``max_target_faults`` cap or the
+    :func:`time.perf_counter` ``deadline``.  ``step(index, fault)`` returns a
+    :class:`~repro.core.results.FaultResult` with its raw detections, which
+    :func:`credit_fault_result` credits; a finished random-prefix
+    ``prefix_outcome`` is credited first.  :meth:`SequentialDelayATPG.run`,
+    the orchestrator's replay merge and the incremental re-run differ only in
+    their step, which is what keeps the three bit-identical.  Campaign time
+    counts from the :func:`time.perf_counter` stamp ``started``.
+    """
+    fault_list = FaultList(universe)
+    campaign = CampaignResult(circuit_name=circuit_name, total_faults=len(fault_list))
+    if prefix_outcome is not None:
+        fault_list.mark_tested(prefix_outcome.detected)
+        campaign.prefix_applied = prefix_outcome.applied
+        campaign.prefix_detected = len(prefix_outcome.detected)
+        campaign.prefix_stop_reason = prefix_outcome.stop_reason
+        for sequence in prefix_outcome.kept_sequences:
+            campaign.prefix_sequences.append(sequence)
+            campaign.pattern_count += sequence.pattern_count
+    for index, fault in enumerate(universe):
+        if fault_list.status(fault) is not FaultStatus.UNTARGETED:
+            continue
+        if max_target_faults is not None and campaign.targeted >= max_target_faults:
+            break
+        if deadline is not None and time.perf_counter() > deadline:
+            break
+        result = step(index, fault)
+        campaign.record(result, credit_fault_result(result, fault_list))
+    campaign.finalize(fault_list.counts(), time.perf_counter() - started)
+    logger.info(
+        "campaign done: circuit=%s tested=%d untestable=%d aborted=%d time=%.3fs",
+        campaign.circuit_name, campaign.tested, campaign.untestable,
+        campaign.aborted, campaign.cpu_seconds,
+    )
+    return campaign
 
 
 def simulate_state_after_fast(

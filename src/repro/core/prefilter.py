@@ -49,9 +49,9 @@ from repro.algebra.values import pi_value
 from repro.circuit.netlist import Circuit
 from repro.core.flow import simulate_sequence_detections
 from repro.core.randseq import random_test_sequence
-from repro.core.results import CampaignResult, TestSequence
+from repro.core.results import TestSequence
 from repro.core.verify import grade_test_sequence
-from repro.faults.model import FaultList, GateDelayFault
+from repro.faults.model import GateDelayFault
 from repro.fausim.backends import create_simulator, resolve_backend
 from repro.obs.metrics import resolve_metrics
 from repro.tdgen.context import TDgenContext
@@ -382,22 +382,3 @@ class RandomPrefixEngine:
             if on_record is not None:
                 on_record(record)
 
-
-def apply_prefix_outcome(
-    campaign: CampaignResult, fault_list: FaultList, outcome: PrefixOutcome
-) -> None:
-    """Fold a finished prefix phase into the campaign bookkeeping.
-
-    Marks every credited fault tested, seeds the campaign's prefix counters
-    and counts the kept sequences' patterns — the one crediting path shared
-    by the serial hybrid flow (:meth:`~repro.core.flow.SequentialDelayATPG.run`)
-    and the orchestrator's replay merge, which is what keeps hybrid results
-    bit-identical across worker counts and resumes.
-    """
-    fault_list.mark_tested(outcome.detected)
-    campaign.prefix_applied = outcome.applied
-    campaign.prefix_detected = len(outcome.detected)
-    campaign.prefix_stop_reason = outcome.stop_reason
-    for sequence in outcome.kept_sequences:
-        campaign.prefix_sequences.append(sequence)
-        campaign.pattern_count += sequence.pattern_count

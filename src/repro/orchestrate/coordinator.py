@@ -24,7 +24,8 @@ same circuit and fault universe.  Three mechanisms combine to get there:
    order could do.
 
 3. **Deterministic replay merge.**  After the workers finish, the
-   coordinator replays the serial campaign loop over the fault universe in
+   coordinator replays the serial campaign loop
+   (:func:`~repro.core.flow.credit_campaign`) over the fault universe in
    enumeration order, using the recorded results as a memo table: recorded
    detections (from the serial TDsim criterion) decide fault dropping exactly
    as ``run()`` would, speculative records the serial order never reaches are
@@ -50,9 +51,9 @@ import time
 from typing import Dict, List, Optional, Sequence
 
 from repro.circuit.netlist import Circuit
-from repro.core.flow import SequentialDelayATPG, credit_fault_result
+from repro.core.flow import SequentialDelayATPG, credit_campaign
 from repro.core.results import CampaignResult, FaultResult
-from repro.faults.model import FaultList, FaultStatus, GateDelayFault, enumerate_delay_faults
+from repro.faults.model import GateDelayFault, enumerate_delay_faults
 from repro.obs.metrics import MetricsRegistry, MetricsSnapshot, resolve_metrics
 from repro.obs.tracing import FaultCost, fold_cost
 from repro.orchestrate.journal import (
@@ -61,8 +62,8 @@ from repro.orchestrate.journal import (
     campaign_digest,
     load_segments,
 )
-from repro.orchestrate.partition import PARTITION_MODES, derive_shard_seed, plan_shards
-from repro.orchestrate.worker import worker_main
+from repro.orchestrate.partition import derive_shard_seed, plan_shards
+from repro.orchestrate.worker import fault_record, worker_main
 
 logger = logging.getLogger(__name__)
 
@@ -238,14 +239,9 @@ class CampaignOrchestrator:
         if metrics is None and self.config.collect_metrics:
             metrics = MetricsRegistry()
         self.metrics = resolve_metrics(metrics)
-        if self.config.jobs < 1:
-            raise ValueError("jobs must be >= 1")
-        if self.config.partition not in PARTITION_MODES:
-            raise ValueError(
-                f"unknown partition mode {self.config.partition!r}; known: {PARTITION_MODES}"
-            )
-        if resume and journal_path is None:
-            raise ValueError("resume requires a journal path")
+        from repro.orchestrate.campaign import validate_campaign
+
+        validate_campaign(self.config, journal_path=journal_path, resume=resume)
         self.journal_path = journal_path
         self.resume = resume
         self.on_record = on_record
@@ -332,71 +328,54 @@ class CampaignOrchestrator:
         journal = CampaignJournal(self.journal_path) if self.journal_path else None
         try:
             with self.metrics.timed("repro_phase_seconds", phase="campaign"):
-                return self._run_campaign(
-                    universe, records, prefix_records, prefix_done, digest,
-                    journal, max_target_faults, started,
+                self._emit(
+                    journal,
+                    {
+                        "type": "campaign",
+                        "circuit": self.circuit.name,
+                        "digest": digest,
+                        "total_faults": len(universe),
+                        "jobs": self.config.jobs,
+                        "partition": self.config.partition,
+                        "campaign_seed": self.config.campaign_seed,
+                        "resumed_records": len(records),
+                        "resumed_prefix": len(prefix_records),
+                    },
                 )
+                # Phase A of a hybrid campaign runs once, single-threaded, before
+                # any partitioning: the shards are then cut from the residue the
+                # random prefix could not detect, and the serial/parallel results
+                # stay bit-identical because Phase A never depends on jobs.
+                prefix_outcome = self._run_prefix(
+                    universe, prefix_records, prefix_done, journal
+                )
+                prefix_detected = (
+                    set(prefix_outcome.detected) if prefix_outcome is not None else set()
+                )
+                remaining = [
+                    index
+                    for index in range(len(universe))
+                    if index not in records and universe[index] not in prefix_detected
+                ]
+                if remaining:
+                    self._run_workers(universe, remaining, records, journal, max_target_faults)
+                campaign = self._replay(
+                    universe, records, max_target_faults, journal, started, prefix_outcome
+                )
+                self._emit(
+                    journal,
+                    {
+                        "type": "result",
+                        "circuit": self.circuit.name,
+                        "digest": digest,
+                        "max_target_faults": max_target_faults,
+                        "campaign": campaign.to_json(),
+                    },
+                )
+            return campaign
         finally:
             if journal is not None:
                 journal.close()
-
-    def _run_campaign(
-        self,
-        universe: List[GateDelayFault],
-        records: Dict[int, Dict[str, object]],
-        prefix_records: Dict[int, Dict[str, object]],
-        prefix_done: Optional[Dict[str, object]],
-        digest: str,
-        journal: Optional[CampaignJournal],
-        max_target_faults: Optional[int],
-        started: float,
-    ) -> CampaignResult:
-        """The campaign body of :meth:`run` (split out for phase timing)."""
-        self._emit(
-            journal,
-            {
-                "type": "campaign",
-                "circuit": self.circuit.name,
-                "digest": digest,
-                "total_faults": len(universe),
-                "jobs": self.config.jobs,
-                "partition": self.config.partition,
-                "campaign_seed": self.config.campaign_seed,
-                "resumed_records": len(records),
-                "resumed_prefix": len(prefix_records),
-            },
-        )
-        # Phase A of a hybrid campaign runs once, single-threaded, before
-        # any partitioning: the shards are then cut from the residue the
-        # random prefix could not detect, and the serial/parallel results
-        # stay bit-identical because Phase A never depends on jobs.
-        prefix_outcome = self._run_prefix(
-            universe, prefix_records, prefix_done, journal
-        )
-        prefix_detected = (
-            set(prefix_outcome.detected) if prefix_outcome is not None else set()
-        )
-        remaining = [
-            index
-            for index in range(len(universe))
-            if index not in records and universe[index] not in prefix_detected
-        ]
-        if remaining:
-            self._run_workers(universe, remaining, records, journal, max_target_faults)
-        campaign = self._replay(
-            universe, records, max_target_faults, journal, started, prefix_outcome
-        )
-        self._emit(
-            journal,
-            {
-                "type": "result",
-                "circuit": self.circuit.name,
-                "digest": digest,
-                "max_target_faults": max_target_faults,
-                "campaign": campaign.to_json(),
-            },
-        )
-        return campaign
 
     # ------------------------------------------------------------------ #
     # random-pattern prefix (Phase A of a hybrid campaign)
@@ -649,79 +628,47 @@ class CampaignOrchestrator:
         """Replay the serial campaign loop over the recorded per-fault results.
 
         This *is* ``SequentialDelayATPG.run`` with ``target_fault`` memoised
-        by the records: same enumeration order, same skip rule (a fault
-        already credited by an earlier sequence's detections is never
-        targeted), same crediting via
-        :func:`~repro.core.flow.credit_fault_result`.  A fault the serial
-        order needs but no worker computed (over-dropped) is recomputed here.
+        by the records: the same loop,
+        :func:`~repro.core.flow.credit_campaign`, with a step that reads the
+        journaled record.  A fault the serial order needs but no worker
+        computed (over-dropped) is recomputed here.
         """
-        fault_list = FaultList(universe)
-        campaign = CampaignResult(
-            circuit_name=self.circuit.name, total_faults=len(universe)
-        )
-        if prefix_outcome is not None:
-            # The same crediting path the serial hybrid flow uses: prefix
-            # detections are marked tested before the loop, so Phase B's
-            # enumeration skips them exactly as ``run(prefix=...)`` would.
-            from repro.core.prefilter import apply_prefix_outcome
-
-            apply_prefix_outcome(campaign, fault_list, prefix_outcome)
         self.recomputed = 0
-        for index, fault in enumerate(universe):
-            if fault_list.status(fault) is not FaultStatus.UNTARGETED:
-                continue
-            if max_target_faults is not None and campaign.targeted >= max_target_faults:
-                break
+
+        def step(index: int, fault: GateDelayFault) -> FaultResult:
             record = records.get(index)
-            cost_payload: Optional[Dict[str, object]] = None
             if record is None:
-                if self._stop_requested():
-                    raise CampaignInterrupted(self.circuit.name, len(records))
-                result = self._fallback(fault)
-                self.recomputed += 1
-                fallback_atpg = self._fallback_atpg
-                if fallback_atpg is not None and fallback_atpg.cost_log:
-                    cost_payload = fallback_atpg.cost_log.pop().to_json()
-                fallback_record = {
-                    "type": "fault",
-                    "index": index,
-                    "worker": -1,  # recomputed by the coordinator
-                    "result": _result_payload(result),
-                    "detections": [
-                        detection.to_json()
-                        for detection in result.additionally_detected
-                    ],
-                }
-                if cost_payload is not None:
-                    fallback_record["cost"] = cost_payload
-                self._emit(journal, fallback_record)
-            else:
-                result = FaultResult.from_json(record["result"])
-                result.additionally_detected = [
-                    GateDelayFault.from_json(payload)
-                    for payload in record["detections"]
-                ]
-                cost_payload = record.get("cost")
-            if self.metrics.enabled and cost_payload is not None:
+                record = self._recompute(index, fault, len(records))
+                self._emit(journal, record)
+            result = FaultResult.from_json(record["result"])
+            result.additionally_detected = [
+                GateDelayFault.from_json(payload) for payload in record["detections"]
+            ]
+            if self.metrics.enabled and "cost" in record:
                 # Only the records the serial order actually reaches are
                 # folded — speculative worker records are discarded with
                 # their costs, which is what makes the aggregates (and the
                 # cost log) independent of jobs and partitioning.
-                cost = FaultCost.from_json(cost_payload)
+                cost = FaultCost.from_json(record["cost"])
                 fold_cost(self.metrics, cost)
                 self.fault_costs.append(cost)
-            newly = credit_fault_result(result, fault_list)
-            campaign.record(result, newly)
-        campaign.finalize(fault_list.counts(), time.perf_counter() - started)
-        logger.info(
-            "replay merge done: circuit=%s tested=%d untestable=%d aborted=%d recomputed=%d",
-            campaign.circuit_name, campaign.tested, campaign.untestable,
-            campaign.aborted, self.recomputed,
-        )
-        return campaign
+            return result
 
-    def _fallback(self, fault: GateDelayFault) -> FaultResult:
-        """Serially recompute one fault the optimistic execution skipped."""
+        return credit_campaign(
+            self.circuit.name,
+            universe,
+            step,
+            max_target_faults=max_target_faults,
+            prefix_outcome=prefix_outcome,
+            started=started,
+        )
+
+    def _recompute(
+        self, index: int, fault: GateDelayFault, recorded: int
+    ) -> Dict[str, object]:
+        """Recompute a skipped fault; returns its record (worker -1: the coordinator)."""
+        if self._stop_requested():
+            raise CampaignInterrupted(self.circuit.name, recorded)
         if self._fallback_atpg is None:
             # A *private* registry: the recomputed fault's cost record is
             # folded into the campaign aggregates exactly like a worker's, so
@@ -732,7 +679,9 @@ class CampaignOrchestrator:
                 metrics=MetricsRegistry() if self.metrics.enabled else None,
                 **self.config.atpg_kwargs(),
             )
-        return self._fallback_atpg.target_fault(fault)
+        self.recomputed += 1
+        result = self._fallback_atpg.target_fault(fault)
+        return fault_record(self._fallback_atpg, index, -1, result)
 
     # ------------------------------------------------------------------ #
     def _load_resume_segment(self, digest: str) -> Optional[JournalSegment]:
@@ -751,16 +700,6 @@ class CampaignOrchestrator:
                 "the settings or the fault universe changed"
             )
         return segment
-
-
-def _result_payload(result: FaultResult) -> Dict[str, object]:
-    """Serialise a result with its raw detections stripped (stored separately)."""
-    detections = result.additionally_detected
-    result.additionally_detected = []
-    try:
-        return result.to_json()
-    finally:
-        result.additionally_detected = detections
 
 
 def run_parallel_campaign(

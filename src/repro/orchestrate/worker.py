@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Sequence, Set
 
 from repro.circuit.netlist import Circuit
 from repro.core.flow import SequentialDelayATPG
-from repro.core.results import FaultResultStatus
+from repro.core.results import FaultResult, FaultResultStatus
 from repro.faults.model import GateDelayFault
 from repro.obs.metrics import MetricsRegistry
 
@@ -98,6 +98,33 @@ def _drain_broadcasts(state: _ShardState, broadcast_queue) -> None:
         state.absorb_broadcast(int(message["index"]), message["detections"])
 
 
+def fault_record(
+    atpg: SequentialDelayATPG, index: int, worker_id: int, result: FaultResult
+) -> Dict[str, object]:
+    """The journal ``fault`` record of one targeted fault.
+
+    Raw detections and the cost record (popped off ``atpg.cost_log`` when
+    instrumented) ride as sibling keys, so :meth:`FaultResult.from_json`
+    stays strict and replayed results stay bit-identical to a serial run.
+    """
+    detections = result.additionally_detected
+    result.additionally_detected = []
+    try:
+        payload = result.to_json()
+    finally:
+        result.additionally_detected = detections
+    record: Dict[str, object] = {
+        "type": "fault",
+        "index": index,
+        "worker": worker_id,
+        "result": payload,
+        "detections": [fault.to_json() for fault in detections],
+    }
+    if atpg.cost_log:
+        record["cost"] = atpg.cost_log.pop().to_json()
+    return record
+
+
 def _process_fault(
     state: _ShardState,
     atpg: SequentialDelayATPG,
@@ -120,28 +147,15 @@ def _process_fault(
         return
 
     result = atpg.target_fault(state.faults[index])
-    detections = result.additionally_detected
-    result.additionally_detected = []
+    record = fault_record(atpg, index, state.worker_id, result)
     stats["targeted"] += 1
     if result.status is FaultResultStatus.TESTED:
         stats["tested"] += 1
-        state.absorb_detections(index, detections)
+        state.absorb_detections(index, result.additionally_detected)
     elif result.status is FaultResultStatus.UNTESTABLE:
         stats["untestable"] += 1
     else:
         stats["aborted"] += 1
-    record = {
-        "type": "fault",
-        "index": index,
-        "worker": state.worker_id,
-        "result": result.to_json(),
-        "detections": [fault.to_json() for fault in detections],
-    }
-    if atpg.cost_log:
-        # One FaultCost per targeted fault when instrumentation is on; ship
-        # it as a sibling key so FaultResult.from_json stays strict and the
-        # replayed results remain bit-identical to a serial campaign.
-        record["cost"] = atpg.cost_log.pop().to_json()
     result_queue.put(record)
 
 

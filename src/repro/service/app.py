@@ -44,12 +44,12 @@ import traceback
 from typing import AsyncIterator, Dict, List, Optional, Tuple
 
 from repro.circuit.bench import BenchParseError
-from repro.core.flow import SequentialDelayATPG
 from repro.faults.model import enumerate_delay_faults
 from repro.fausim.compile import compile_count
 from repro.obs.export import metrics_document, render_prometheus
 from repro.obs.metrics import MetricsRegistry
-from repro.orchestrate import CampaignInterrupted, CampaignOrchestrator
+from repro.orchestrate import CampaignInterrupted
+from repro.orchestrate.campaign import run_campaign
 from repro.service.api import (
     ApiError,
     Request,
@@ -171,7 +171,7 @@ class AtpgService:
                 return
 
     async def _execute(self, job: Job) -> None:
-        """Run one job: cache lookup, then orchestrated (or serial) campaign."""
+        """Run one job: cache lookup, then :func:`~repro.orchestrate.campaign.run_campaign`."""
         job.status = "running"
         job.started_at = time.time()
         self.current_job = job
@@ -195,65 +195,43 @@ class AtpgService:
                 spec.max_target_faults,
             )
 
-            cached = None if spec.time_limit_s is not None else self.results.get(cache_key)
+            # A time-limited result depends on wall time: it is neither
+            # served from nor put into the result cache, nor journaled.
+            timed = spec.time_limit_s is not None
+            cached = None if timed else self.results.get(cache_key)
             if cached is not None:
                 job.cache_hit = True
                 job.result_json = cached
                 job.total_faults = cached.get("total_faults")
                 job.add_event({"type": "cache-hit", "key": cache_key})
-            elif spec.incremental_from is not None:
-                # Store-backed incremental re-run: bit-identical to a
-                # from-scratch campaign on the submitted netlist, so the
-                # result is cacheable under the ordinary campaign key.
-                # Always serial — 'jobs' is orchestration-only and absent
-                # from the config digest, so it is ignored here.
-                outcome = await self._in_executor(
-                    self._run_incremental, spec, circuit, config, job_registry
-                )
-                result = outcome.result
-                job.result_json = result.to_json()
-                job.total_faults = result.total_faults
-                job.add_event({"type": "incremental", **outcome.summary()})
-                job.metrics_json = metrics_document(
-                    job_registry.snapshot(),
-                    fault_costs=outcome.costs,
-                    context={"job_id": job.id},
-                )
-                self.results.put(cache_key, job.result_json)
-            elif spec.time_limit_s is not None:
-                # Time-limited jobs run the serial flow (the partial result
-                # depends on wall time, so it is neither journaled for
-                # resume nor inserted into the result cache).
-                result = await self._in_executor(
-                    self._run_serial, spec, circuit, job_registry
-                )
-                job.result_json = result.to_json()
-                job.total_faults = result.total_faults
-                job.metrics_json = metrics_document(
-                    job_registry.snapshot(), context={"job_id": job.id}
-                )
             else:
-                journal_path = self.store.journal_path(job)
-                orchestrator = CampaignOrchestrator(
+                journal_path = None
+                if not timed and spec.incremental_from is None:
+                    journal_path = self.store.journal_path(job)
+                run = await self._in_executor(
+                    run_campaign,
                     circuit,
-                    config=config,
+                    config,
+                    max_target_faults=spec.max_target_faults,
+                    time_limit_s=spec.time_limit_s,
                     journal_path=journal_path,
-                    resume=os.path.exists(journal_path),
+                    resume=journal_path is not None and os.path.exists(journal_path),
+                    incremental_from=spec.incremental_from,
                     on_record=functools.partial(self._on_record, job),
                     should_stop=lambda: self.shutdown.stopping or job.cancel_requested,
                     metrics=job_registry,
                 )
-                result = await self._in_executor(
-                    orchestrator.run, None, spec.max_target_faults
-                )
-                job.result_json = result.to_json()
-                job.total_faults = result.total_faults
+                job.result_json = run.result.to_json()
+                job.total_faults = run.result.total_faults
+                if run.incremental is not None:
+                    job.add_event({"type": "incremental", **run.incremental})
                 job.metrics_json = metrics_document(
                     job_registry.snapshot(),
-                    fault_costs=orchestrator.fault_costs,
+                    fault_costs=run.costs,
                     context={"job_id": job.id},
                 )
-                self.results.put(cache_key, job.result_json)
+                if not timed:
+                    self.results.put(cache_key, job.result_json)
             job.status = "done"
             self.store.save_result(job)
         except CampaignInterrupted:
@@ -279,46 +257,8 @@ class AtpgService:
         circuit, net_digest, _ = self.netlists.warm(spec.build_circuit())
         return circuit, net_digest
 
-    @staticmethod
-    def _run_incremental(spec: JobSpec, circuit, config, metrics=None) -> object:
-        """The store-backed incremental campaign path (runs in the executor)."""
-        from repro.store import CampaignStore, run_incremental
-
-        with CampaignStore(spec.incremental_from) as store:
-            return run_incremental(
-                circuit,
-                store,
-                config,
-                max_target_faults=spec.max_target_faults,
-                metrics=metrics,
-            )
-
-    @staticmethod
-    def _run_serial(spec: JobSpec, circuit, metrics=None) -> object:
-        """The serial time-limited campaign path (runs in the executor)."""
-        atpg = SequentialDelayATPG(
-            circuit,
-            robust=spec.robust,
-            local_backtrack_limit=spec.backtrack_limit,
-            sequential_backtrack_limit=spec.backtrack_limit,
-            metrics=metrics,
-            backend=spec.backend,
-        )
-        prefix = None
-        if spec.rpg_prefix:
-            from repro.core.prefilter import PrefixConfig
-
-            prefix = PrefixConfig(
-                budget=spec.rpg_budget, window=spec.rpg_window, seed=spec.seed
-            )
-        return atpg.run(
-            max_target_faults=spec.max_target_faults,
-            time_limit_s=spec.time_limit_s,
-            prefix=prefix,
-        )
-
-    async def _in_executor(self, fn, *args):
-        return await self._loop.run_in_executor(None, functools.partial(fn, *args))
+    async def _in_executor(self, fn, *args, **kwargs):
+        return await self._loop.run_in_executor(None, functools.partial(fn, *args, **kwargs))
 
     def _on_record(self, job: Job, record: Dict[str, object]) -> None:
         """Coordinator progress hook (called from the campaign thread)."""

@@ -36,13 +36,24 @@ from repro.circuit.bench import parse_bench
 from repro.circuit.netlist import Circuit
 from repro.data import list_circuits, load_circuit
 from repro.orchestrate import OrchestratorConfig
-from repro.orchestrate.partition import PARTITION_MODES
+from repro.orchestrate.campaign import validate_campaign
 
 #: Every state a job can be in; terminal states keep their result/error.
 JOB_STATES = ("queued", "running", "done", "failed", "interrupted", "cancelled")
 
 #: States in which the job will not run again in this daemon's lifetime.
 TERMINAL_STATES = ("done", "failed", "cancelled")
+
+
+#: The JSON type of every ``POST /jobs`` field, in checking order.
+_KINDS = {
+    "circuit": str, "bench": str, "name": str, "partition": str, "backend": str,
+    "incremental_from": str, "scale": float, "time_limit_s": float,
+    "priority": int, "jobs": int, "seed": int, "backtrack_limit": int,
+    "max_target_faults": int, "rpg_budget": int, "rpg_window": int,
+    "robust": bool, "rpg_prefix": bool,
+}
+_KIND_NAMES = {str: "a string", float: "a number", int: "an integer", bool: "a boolean"}
 
 
 @dataclasses.dataclass
@@ -71,102 +82,44 @@ class JobSpec:
     #: netlist edit's influence cone (mirrors ``--incremental-from``).
     incremental_from: Optional[str] = None
 
-    _FIELDS = (
-        "circuit", "bench", "name", "scale", "priority", "jobs", "partition",
-        "seed", "backend", "robust", "backtrack_limit", "max_target_faults",
-        "time_limit_s", "rpg_prefix", "rpg_budget", "rpg_window",
-        "incremental_from",
-    )
-
     @classmethod
     def from_request(cls, payload: object) -> "JobSpec":
         """Build a spec from a request body, raising ValueError on bad input."""
         if not isinstance(payload, dict):
             raise ValueError("request body must be a JSON object")
-        unknown = sorted(set(payload) - set(cls._FIELDS))
+        unknown = sorted(set(payload) - set(_KINDS))
         if unknown:
             raise ValueError(f"unknown field(s): {', '.join(unknown)}")
         spec = cls()
-        for field, caster in (
-            ("circuit", str), ("bench", str), ("name", str), ("partition", str),
-            ("backend", str), ("incremental_from", str),
-        ):
-            value = payload.get(field)
-            if value is not None:
-                if not isinstance(value, str):
-                    raise ValueError(f"{field!r} must be a string")
-                setattr(spec, field, caster(value))
-        for field in ("scale", "time_limit_s"):
-            value = payload.get(field)
-            if value is not None:
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    raise ValueError(f"{field!r} must be a number")
-                setattr(spec, field, float(value))
-        for field in (
-            "priority", "jobs", "seed", "backtrack_limit", "max_target_faults",
-            "rpg_budget", "rpg_window",
-        ):
-            value = payload.get(field)
-            if value is not None:
-                if isinstance(value, bool) or not isinstance(value, int):
-                    raise ValueError(f"{field!r} must be an integer")
-                setattr(spec, field, value)
-        for field in ("robust", "rpg_prefix"):
-            if field in payload:
-                if not isinstance(payload[field], bool):
-                    raise ValueError(f"{field!r} must be a boolean")
-                setattr(spec, field, payload[field])
+        for field, kind in _KINDS.items():
+            if field not in payload or (payload[field] is None and kind is not bool):
+                continue
+            value = payload[field]
+            accepted = (int, float) if kind is float else kind
+            # bool is an int subclass: only the boolean fields take one.
+            if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+                raise ValueError(f"{field!r} must be {_KIND_NAMES[kind]}")
+            setattr(spec, field, float(value) if kind is float else value)
         spec.validate()
         return spec
 
     def validate(self) -> None:
-        """Check the cross-field constraints; raises ValueError."""
+        """Check the circuit reference, then the campaign settings; raises ValueError."""
         if (self.circuit is None) == (self.bench is None):
             raise ValueError("exactly one of 'circuit' and 'bench' is required")
         if self.circuit is not None and self.circuit not in list_circuits():
             raise ValueError(
                 f"unknown circuit {self.circuit!r}; known: {', '.join(list_circuits())}"
             )
-        if self.partition not in PARTITION_MODES:
-            raise ValueError(
-                f"unknown partition mode {self.partition!r}; known: {PARTITION_MODES}"
-            )
-        if self.jobs < 1:
-            raise ValueError("'jobs' must be >= 1")
         if self.scale <= 0:
             raise ValueError("'scale' must be > 0")
-        if self.backtrack_limit < 1:
-            raise ValueError("'backtrack_limit' must be >= 1")
-        if self.max_target_faults is not None and self.max_target_faults < 1:
-            raise ValueError("'max_target_faults' must be >= 1")
-        if self.rpg_budget < 1:
-            raise ValueError("'rpg_budget' must be >= 1")
-        if self.rpg_window < 1:
-            raise ValueError("'rpg_window' must be >= 1")
-        if self.time_limit_s is not None:
-            if self.time_limit_s <= 0:
-                raise ValueError("'time_limit_s' must be > 0")
-            if self.jobs != 1:
-                raise ValueError(
-                    "'time_limit_s' requires 'jobs' == 1 (mirrors the CLI: a "
-                    "time-limited campaign runs serially and is not resumable)"
-                )
-        if self.backend is not None:
-            from repro.fausim.backends import available_backends
-
-            if self.backend not in available_backends():
-                raise ValueError(
-                    f"unknown backend {self.backend!r}; known: "
-                    f"{', '.join(sorted(available_backends()))}"
-                )
-        if self.incremental_from is not None:
-            # The incremental engine is the serial loop with a store-backed
-            # memo; anything that reshapes the loop breaks the bit-identity
-            # contract (mirrors the CLI's --incremental-from conflicts).
-            if self.rpg_prefix:
-                raise ValueError("'incremental_from' does not support 'rpg_prefix'")
-            if self.time_limit_s is not None:
-                raise ValueError("'incremental_from' does not support 'time_limit_s'")
+        validate_campaign(
+            self.orchestrator_config(),
+            max_target_faults=self.max_target_faults,
+            time_limit_s=self.time_limit_s,
+            incremental_from=self.incremental_from,
+            json_fields=True,
+        )
 
     def build_circuit(self) -> Circuit:
         """Materialise the submitted circuit (registry load or bench parse)."""
@@ -175,9 +128,13 @@ class JobSpec:
         return load_circuit(self.circuit, scale=self.scale)
 
     def orchestrator_config(self) -> OrchestratorConfig:
-        """The orchestrate-layer settings this spec maps to."""
+        """The orchestrate-layer settings this spec maps to.
+
+        An incremental re-run is serial, so there any ``jobs`` > 1 maps to 1
+        (``jobs`` is orchestration-only and absent from the config digest).
+        """
         return OrchestratorConfig(
-            jobs=self.jobs,
+            jobs=min(self.jobs, 1) if self.incremental_from is not None else self.jobs,
             partition=self.partition,
             campaign_seed=self.seed,
             robust=self.robust,
@@ -191,13 +148,13 @@ class JobSpec:
 
     def to_json(self) -> Dict[str, object]:
         """JSON form used by the job table and the status endpoints."""
-        return {field: getattr(self, field) for field in self._FIELDS}
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_json(cls, payload: Dict[str, object]) -> "JobSpec":
         """Rebuild a persisted spec (assumed already validated at submit)."""
         spec = cls()
-        for field in cls._FIELDS:
+        for field in _KINDS:
             if field in payload:
                 setattr(spec, field, payload[field])
         return spec

@@ -8,8 +8,8 @@ The contract is deliberately stronger than "the unchanged cone matches": the
 incremental campaign's :meth:`~repro.core.results.CampaignResult.fingerprint`
 must be **bit-identical to a from-scratch serial campaign on the new
 circuit**.  That works because the incremental run *is* the serial campaign
-loop of :meth:`~repro.core.flow.SequentialDelayATPG.run` — same enumeration
-order, same skip rule, same crediting — with
+loop, :func:`~repro.core.flow.credit_campaign` — same enumeration order,
+same skip rule, same crediting — with
 :meth:`~repro.core.flow.SequentialDelayATPG.target_fault` memoised from the
 store for the kept faults (the property-based harness in
 ``tests/fuzz/test_incremental_fuzz.py`` pins this for random perturbations).
@@ -54,14 +54,15 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 from repro.circuit.netlist import Circuit
 from repro.core.flow import (
     SequentialDelayATPG,
-    credit_fault_result,
+    credit_campaign,
     simulate_sequence_detections,
 )
-from repro.core.results import CampaignResult
+from repro.core.results import CampaignResult, FaultResult
 from repro.core.verify import grade_test_sequence
-from repro.faults.model import FaultList, FaultStatus, GateDelayFault, enumerate_delay_faults
+from repro.faults.model import GateDelayFault, enumerate_delay_faults
 from repro.fausim.compile import NetlistDelta, compile_circuit, diff_compiled
 from repro.obs.tracing import fold_cost
+from repro.orchestrate.campaign import validate_campaign
 from repro.store.store import BaseCampaign, CampaignStore
 
 
@@ -218,8 +219,12 @@ def run_incremental(
     over the *whole* universe, so there is no cone argument for reusing it —
     re-run those from scratch.
     """
-    if getattr(config, "rpg_prefix", False):
-        raise ValueError("incremental re-runs do not support --rpg-prefix campaigns")
+    # 'jobs' is orchestration-only and ignored here: the re-run is serial.
+    validate_campaign(
+        dataclasses.replace(config, jobs=1),
+        max_target_faults=max_target_faults,
+        incremental_from=store.path,
+    )
     started = time.perf_counter()
     if base is None:
         base = store.find_base(circuit.name, config)
@@ -237,44 +242,36 @@ def run_incremental(
         circuit, records, kept_order, residue, atpg.backend
     )
 
-    fault_list = FaultList(universe)
-    campaign = CampaignResult(circuit_name=circuit.name, total_faults=len(universe))
-    reused = retargeted = 0
-    for fault in universe:
-        if fault_list.status(fault) is not FaultStatus.UNTARGETED:
-            continue
-        if max_target_faults is not None and campaign.targeted >= max_target_faults:
-            break
+    counts = {"reused": 0, "retargeted": 0}
+
+    def step(_index: int, fault: GateDelayFault) -> FaultResult:
         name = str(fault)
         record = records.get(name) if name in kept_names else None
-        if record is not None:
-            result = record.build_result()
-            if (
-                result.tested
-                and result.sequence is not None
-                and atpg.enable_fault_simulation
-            ):
-                # Detections range over the whole circuit, so the stored
-                # list is recomputed on the edited netlist — content *and*
-                # order then match the from-scratch run by construction.
-                _refit_sequence(result.sequence, circuit, atpg.fill_value)
-                with registry.timed("repro_phase_seconds", phase="tdsim"):
-                    result.additionally_detected = simulate_sequence_detections(
-                        circuit, atpg.context, atpg.fault_simulator,
-                        result.sequence, atpg.backend,
-                    )
-            reused += 1
-            if registry.enabled:
-                cost = record.build_cost()
-                if cost is not None:
-                    fold_cost(registry, cost)
-                    atpg.cost_log.append(cost)
-        else:
-            result = atpg.target_fault(fault)
-            retargeted += 1
-        newly = credit_fault_result(result, fault_list)
-        campaign.record(result, newly)
-    campaign.finalize(fault_list.counts(), time.perf_counter() - started)
+        if record is None:
+            counts["retargeted"] += 1
+            return atpg.target_fault(fault)
+        counts["reused"] += 1
+        result = record.build_result()
+        if result.tested and result.sequence is not None and atpg.enable_fault_simulation:
+            # Detections range over the whole circuit, so the stored list is
+            # recomputed on the edited netlist — content *and* order then
+            # match the from-scratch run by construction.
+            _refit_sequence(result.sequence, circuit, atpg.fill_value)
+            with registry.timed("repro_phase_seconds", phase="tdsim"):
+                result.additionally_detected = simulate_sequence_detections(
+                    circuit, atpg.context, atpg.fault_simulator,
+                    result.sequence, atpg.backend,
+                )
+        if registry.enabled:
+            cost = record.build_cost()
+            if cost is not None:
+                fold_cost(registry, cost)
+                atpg.cost_log.append(cost)
+        return result
+
+    campaign = credit_campaign(
+        circuit.name, universe, step, max_target_faults=max_target_faults, started=started
+    )
     return IncrementalOutcome(
         result=campaign,
         base_campaign_id=base.campaign_id,
@@ -282,8 +279,8 @@ def run_incremental(
         cone_size=len(cone),
         kept=len(kept),
         invalidated=len(residue),
-        reused=reused,
-        retargeted=retargeted,
+        reused=counts["reused"],
+        retargeted=counts["retargeted"],
         residue_gross_covered=residue_gross_covered,
         costs=list(atpg.cost_log),
     )

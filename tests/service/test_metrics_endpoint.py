@@ -101,6 +101,17 @@ def test_finished_job_feeds_campaign_counters_into_metrics(daemon):
     ) == len(metrics["fault_costs"])
 
 
+def test_time_limited_job_keeps_its_fault_costs(daemon):
+    """A serial time-limited job reports one cost record per targeted fault."""
+    _, client = daemon
+    job_id = client.submit({"circuit": "s27", "jobs": 1, "time_limit_s": 60})
+    assert client.wait(job_id)["status"] == "done"
+    result = client.result(job_id)
+    targeted = result["campaign"]["targeted"]
+    assert targeted > 0
+    assert len(result["metrics"]["fault_costs"]) == targeted
+
+
 def test_status_reports_uptime_states_and_queue(daemon):
     _, client = daemon
     status, body = client.get("/status")

@@ -15,9 +15,11 @@ from pathlib import Path
 
 import pytest
 
+import repro.__main__ as cli
 from repro.__main__ import main
 from repro.data import list_circuits
 from repro.data.s27 import S27_BENCH
+from repro.service.jobs import JobSpec
 
 
 def run_cli(capsys, *argv):
@@ -151,6 +153,94 @@ def test_campaign_rejects_conflicting_journal_paths(capsys):
         ["campaign", "--circuits", "s27", "--journal", "a.jsonl", "--resume", "b.jsonl"]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--jobs", "0"), "--jobs must be >= 1"),
+        (("--jobs", "-2"), "--jobs must be >= 1"),
+        (("--time-limit", "-1"), "--time-limit must be > 0"),
+        (("--backtrack-limit", "0"), "--backtrack-limit must be >= 1"),
+        (("--max-faults", "-5"), "--max-faults must be >= 1"),
+        (("--rpg-prefix", "--rpg-budget", "0"), "--rpg-budget must be >= 1"),
+        (("--rpg-prefix", "--rpg-window", "0"), "--rpg-window must be >= 1"),
+    ],
+)
+def test_campaign_rejects_out_of_range_values(capsys, argv, message):
+    """Out-of-range values exit 2 with one error line, before any campaign runs."""
+    code = main(["campaign", "--circuits", "s27", *argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {message}"]
+
+
+class _Accepted(Exception):
+    """Raised by the stub campaign: the CLI got past validation."""
+
+
+def _cli_rejects(monkeypatch, capsys, argv) -> bool:
+    """True when the CLI refuses ``argv`` (exit 2, one error line)."""
+
+    def accept(*args, **kwargs):
+        raise _Accepted
+
+    monkeypatch.setattr(cli, "run_campaign", accept)
+    try:
+        code = main(["campaign", "--circuits", "s27", *argv])
+    except _Accepted:
+        return False
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return True
+
+
+@pytest.mark.parametrize("journal", [None, "--journal", "--resume"])
+@pytest.mark.parametrize("incremental", [False, True])
+@pytest.mark.parametrize("rpg_prefix", [False, True])
+@pytest.mark.parametrize("time_limit", [False, True])
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_cli_and_service_agree_on_conflicts(
+    monkeypatch, capsys, jobs, time_limit, rpg_prefix, incremental, journal
+):
+    """The CLI exits 2 exactly when ``POST /jobs`` would answer 400.
+
+    Two differences are pinned.  The service maps an ``incremental_from``
+    job to ``jobs`` = 1, so it accepts ``jobs`` 2 there while the CLI
+    refuses ``--jobs 2``.  The service has no journal field: it journals
+    every job that is neither time-limited nor incremental, so on the CLI
+    a journal conflicts with exactly those two.
+    """
+    argv = ["--jobs", str(jobs)]
+    payload = {"circuit": "s27", "jobs": jobs}
+    if time_limit:
+        argv += ["--time-limit", "1"]
+        payload["time_limit_s"] = 1.0
+    if rpg_prefix:
+        argv += ["--rpg-prefix"]
+        payload["rpg_prefix"] = True
+    if incremental:
+        argv += ["--incremental-from", "store.sqlite"]
+        payload["incremental_from"] = "store.sqlite"
+    if journal is not None:
+        argv += [journal, "campaign.jsonl"]
+
+    cli_rejects = _cli_rejects(monkeypatch, capsys, argv)
+    try:
+        spec = JobSpec.from_request(payload)
+        service_rejects = False
+    except ValueError:
+        service_rejects = True
+
+    if journal is not None:
+        assert cli_rejects == (service_rejects or time_limit or incremental)
+    elif incremental and jobs > 1 and not (time_limit or rpg_prefix):
+        assert cli_rejects and not service_rejects
+        assert spec.orchestrator_config().jobs == 1
+    else:
+        assert cli_rejects == service_rejects
 
 
 def test_unknown_circuit_raises():
